@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures fmtcheck test test-short bench benchall fmt examples clean ci smoke race-shard chaos perfgate profile
+.PHONY: all build vet lint lint-fixtures fmtcheck test test-short bench benchall fmt examples clean ci smoke race-shard chaos perfgate profile perfbench-test
 
 all: build vet lint test
 
@@ -14,6 +14,7 @@ ci:
 	$(MAKE) lint
 	$(MAKE) lint-fixtures
 	$(GO) test -race ./...
+	$(MAKE) perfbench-test
 	$(MAKE) race-shard
 	$(MAKE) smoke
 	$(MAKE) chaos
@@ -25,6 +26,12 @@ ci:
 # dependence.
 race-shard:
 	$(GO) test -race -count=1 -run 'Sharded' ./internal/shard/ .
+
+# perfbench/ is a Go module of its own, so the root `go test ./...` never
+# compiles it; its tests keep the campaign benchmark building and running
+# against the engine, core and harness APIs it imports.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # legolint statically enforces the campaign-determinism invariants (map
 # iteration order, global math/rand, wall-clock reads, minidb panic

@@ -182,7 +182,7 @@ func BenchmarkShardedFigure9(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var branches, bugs int
 			for i := 0; i < b.N; i++ {
-				res := experiment.RunShardedCampaign(sqlt.DialectMariaDB, bud.DayStmts, bud.Seed, 0, w, 0)
+				res, _ := experiment.RunShardedCampaign(sqlt.DialectMariaDB, bud.DayStmts, bud.Seed, 0, w, 0, 0, 0)
 				branches, bugs = res.Branches, res.Bugs()
 			}
 			b.ReportMetric(float64(branches), "branches")

@@ -120,7 +120,7 @@ func shardedStudy(b experiment.Budgets) string {
 		"workers", "execs", "branches", "affinities", "bugs", "seconds", "execs/s"))
 	for _, w := range []int{1, 2, 4} {
 		start := time.Now()
-		res := experiment.RunShardedCampaign(sqlt.DialectMariaDB, b.DayStmts, b.Seed, 5, w, 0)
+		res, _ := experiment.RunShardedCampaign(sqlt.DialectMariaDB, b.DayStmts, b.Seed, 5, w, 0, 0, 0)
 		dur := time.Since(start).Seconds()
 		execsPerSec := 0.0
 		if dur > 0 {
@@ -181,7 +181,7 @@ func perfSnapshot(b experiment.Budgets, floor int) (string, bool) {
 	rows := make([]perfRow, 0, len(cfgs))
 	for _, c := range cfgs {
 		start := time.Now()
-		res, cs := experiment.RunChaoticCampaign(
+		res, cs := experiment.RunShardedCampaign(
 			sqlt.DialectMariaDB, b.DayStmts, b.Seed, 5, c.workers, epochStmts, c.chaosRate, b.Seed)
 		dur := time.Since(start).Seconds()
 		row := perfRow{

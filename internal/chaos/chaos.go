@@ -1,25 +1,26 @@
-// Package chaos is the deterministic fault plane for supervised campaigns:
-// a schedule of harness-level failures — worker panics mid-epoch, epoch
-// stalls, checkpoint I/O faults — that is a pure function of (Rate, Seed).
-// Where internal/minidb's faultInjector proves the harness survives its
-// *target*, this package proves the campaign survives its *harness*: the
-// sharded executor's supervision (retry from the last barrier snapshot,
-// quarantine on budget exhaustion, graceful degradation) is only credible
-// if the failures driving it can be replayed bit-for-bit.
+// Package chaos is the deterministic fault plane: a schedule of injected
+// failures that is a pure function of (Rate, Seed). It covers both sides of
+// crash containment. Engine faults — organic panics raised inside minidb's
+// statement dispatch — prove the harness survives its *target*, the way a
+// forked AFL++ child absorbs a DBMS crash. Harness faults — worker panics
+// mid-epoch, epoch stalls, checkpoint I/O faults — prove the campaign
+// survives its *harness*: the sharded executor's supervision (retry from
+// the last barrier snapshot, quarantine on budget exhaustion, graceful
+// degradation) is only credible if the failures driving it can be replayed
+// bit-for-bit.
 //
 // # Determinism
 //
-// minidb's faultInjector draws from one sequential stream whose position
-// must travel in checkpoints. The chaos plane instead keys every decision
-// by its campaign coordinates — (kind, epoch, shard, attempt) for worker
-// faults, (kind, save ordinal) for I/O faults — each mixed into a private
+// Every decision is keyed by its campaign coordinates — (exec, statement,
+// site) for engine faults, (epoch, shard, attempt) for worker faults, the
+// save ordinal for I/O faults — each mixed with its kind into a private
 // splitmix64 stream seeded by Seed. A keyed schedule has no cursor to
-// persist or replay: a campaign resumed at epoch E re-derives exactly the
-// faults the uninterrupted campaign would have seen from E on, which is
-// what makes interrupt+resume under chaos byte-equivalent to the
-// uninterrupted chaotic run. Keying by attempt also lets a retried epoch
-// re-roll: attempt 0 may panic where attempt 1 runs clean, without any
-// state recording that history.
+// persist or replay: a campaign resumed at execution N (or epoch E)
+// re-derives exactly the faults the uninterrupted campaign would have seen
+// from there on, which is what makes interrupt+resume under injection
+// byte-equivalent to the uninterrupted run. Keying by attempt also lets a
+// retried epoch re-roll: attempt 0 may panic where attempt 1 runs clean,
+// without any state recording that history.
 package chaos
 
 import (
@@ -33,6 +34,7 @@ const (
 	kindWorkerPanic uint64 = iota + 1
 	kindEpochStall
 	kindSaveFault
+	kindEngineFault
 )
 
 // golden is the splitmix64 increment, reused as the key-absorption stride.
@@ -95,6 +97,13 @@ func (in *Injector) WorkerPanic(epoch, shard, attempt int) (fire bool, frac floa
 func (in *Injector) EpochStall(epoch, shard, attempt int) (fire bool, frac float64) {
 	s := in.stream(kindEpochStall, epoch, shard, attempt)
 	return s.next() < in.Rate, s.next()
+}
+
+// EngineFault reports whether the engine raises an organic fault at one
+// injection site of one statement: the stmt-th statement of the exec-th
+// test case a runner executes.
+func (in *Injector) EngineFault(exec, stmt, site int) bool {
+	return in.stream(kindEngineFault, exec, stmt, site).next() < in.Rate
 }
 
 // FSFault names one injected checkpoint I/O failure mode.

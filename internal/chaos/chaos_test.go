@@ -66,6 +66,53 @@ func TestRateExtremes(t *testing.T) {
 	}
 }
 
+// TestEngineFaultIsKeyed: an engine-fault decision is a pure function of
+// (Seed, exec, statement, site) — fresh injectors agree at every key,
+// whatever order the keys are visited in — while the two sites of one
+// statement, neighbouring executions, and neighbouring seeds draw
+// independently: at rate 0.5 each agrees with a firing draw about half the
+// time, not always as copied schedules would.
+func TestEngineFaultIsKeyed(t *testing.T) {
+	a, b, other := New(0.5, 3), New(0.5, 3), New(0.5, 4)
+	var n, fired, post, nextExec, otherSeed int
+	for exec := 1999; exec >= 0; exec-- {
+		for stmt := 0; stmt < 4; stmt++ {
+			for site := 0; site < 2; site++ {
+				if a.EngineFault(exec, stmt, site) != b.EngineFault(exec, stmt, site) {
+					t.Fatalf("equal injectors diverged at (%d,%d,%d)", exec, stmt, site)
+				}
+			}
+			n++
+			if !a.EngineFault(exec, stmt, 0) {
+				continue
+			}
+			fired++
+			if a.EngineFault(exec, stmt, 1) {
+				post++
+			}
+			if a.EngineFault(exec+1, stmt, 0) {
+				nextExec++
+			}
+			if other.EngineFault(exec, stmt, 0) {
+				otherSeed++
+			}
+		}
+	}
+	for _, r := range []struct {
+		name string
+		got  float64
+	}{
+		{"fire rate", float64(fired) / float64(n)},
+		{"post-dispatch given pre-dispatch", float64(post) / float64(fired)},
+		{"exec+1 given exec", float64(nextExec) / float64(fired)},
+		{"seed 4 given seed 3", float64(otherSeed) / float64(fired)},
+	} {
+		if r.got < 0.45 || r.got > 0.55 {
+			t.Fatalf("%s = %.3f, want ≈0.5 for independent draws", r.name, r.got)
+		}
+	}
+}
+
 // TestKindsDrawIndependentSchedules: the panic and stall schedules at the
 // same coordinates must not be copies of each other.
 func TestKindsDrawIndependentSchedules(t *testing.T) {

@@ -21,33 +21,23 @@ import (
 	"path/filepath"
 )
 
-// Version is the current checkpoint format version. Load rejects files
-// written by an unknown version rather than guessing at field semantics.
+// Version is the checkpoint format version. Save stamps it on every file
+// and Load accepts no other: a file from another version is rejected rather
+// than resumed under guessed field semantics.
 //
 // History:
 //
-//	v1 — initial format (PR 1).
+//	v1 — initial format.
 //	v2 — crashes carry triage results (status, original/minimized length,
-//	     replay tally) so a resumed campaign keeps its verified, minimized
-//	     reproducers.
-//	v3 — sharded campaigns: the top level gains the shard topology
-//	     (workers, epoch_stmts, epoch) and a shards array holding one
-//	     complete per-worker state (RNG, pool, coverage, synthesis, …)
-//	     each; the top-level curve and crashes become the merged global
-//	     view. v2 files (single-shard) still load: v3 only adds fields,
-//	     and an absent shards array means "one worker, state at top level".
-//	v4 — chaos plane and shard supervision: the top level gains the chaos
-//	     identity (chaos_rate, chaos_seed, max_epoch_retries) and the
-//	     incident journal; each shard entry gains its quarantine flag and
-//	     retry tally. Purely additive: v3 files still load, and Save
-//	     stamps v3 whenever a state uses no v4 feature, so campaigns that
-//	     never engage the supervision plane emit byte-identical files.
-const Version = 4
-
-// minReadVersion is the oldest format Load still accepts. v2 single-shard
-// checkpoints are a strict subset of v3, so campaigns saved before sharding
-// resume cleanly.
-const minReadVersion = 2
+//	     replay tally).
+//	v3 — sharded campaigns: shard topology (workers, epoch_stmts, epoch)
+//	     and one nested per-worker state per shard.
+//	v4 — chaos identity (chaos_rate, chaos_seed, max_epoch_retries), the
+//	     incident journal, and per-shard quarantine flags and retry tallies.
+//	v5 — engine faults become keyed chaos-plane decisions, so the fault
+//	     injector's stream position is no longer saved: a v4 file saved
+//	     under fault injection cannot resume on the keyed schedule.
+const Version = 5
 
 // BackupSuffix is appended to the checkpoint path for the rotated last-good
 // copy that Save leaves behind and LoadWithFallback falls back to.
@@ -77,7 +67,7 @@ type Crash struct {
 	FoundAtExec int      `json:"found_at_exec"`
 	Hits        int      `json:"hits"`
 
-	// Triage results (v2): empty/zero when the crash was never triaged.
+	// Triage results: empty/zero when the crash was never triaged.
 	Status       string `json:"status,omitempty"`
 	OriginalLen  int    `json:"original_len,omitempty"`
 	MinimizedLen int    `json:"minimized_len,omitempty"`
@@ -90,20 +80,23 @@ type CurvePoint struct {
 	Edges int `json:"edges"`
 }
 
-// Incident is one entry of a supervised campaign's incident journal (v4): a
+// Incident is one entry of a supervised campaign's incident journal: a
 // worker failure and how the supervisor resolved it. The journal is part of
-// the campaign's deterministic output — same seed, same incidents.
+// the campaign's deterministic output — same seed and chaos schedule, same
+// incidents — which is what makes the supervision machinery testable at
+// all.
 type Incident struct {
 	// Epoch is the barrier-to-barrier interval the failure struck in.
 	Epoch int `json:"epoch"`
 	// Shard is the failed worker's index.
 	Shard int `json:"shard"`
-	// Kind classifies the failure (WORKER_PANIC, EPOCH_STALL,
-	// ORGANIC_PANIC).
+	// Kind classifies the failure (the harness.Incident* kind constants:
+	// WORKER_PANIC, EPOCH_STALL, ORGANIC_PANIC).
 	Kind string `json:"kind"`
 	// Retries is the shard's cumulative retry tally after this incident.
 	Retries int `json:"retries"`
-	// Outcome records the supervisor's decision (RETRIED, QUARANTINED).
+	// Outcome records the supervisor's decision (the harness.Incident*
+	// outcome constants: RETRIED, QUARANTINED).
 	Outcome string `json:"outcome"`
 	// Detail carries deterministic context: the injected fault's
 	// coordinates, or an organic panic's normalized stack.
@@ -127,10 +120,8 @@ type State struct {
 	Stmts        int `json:"stmts"`
 	EnginePanics int `json:"engine_panics"`
 
-	// RNG stream position (xrand.Source state) and the fault injector's
-	// private stream, when fault injection is armed.
-	RNG        uint64 `json:"rng"`
-	FaultState uint64 `json:"fault_state,omitempty"`
+	// RNG stream position (xrand.Source state).
+	RNG uint64 `json:"rng"`
 
 	Pool        []PoolSeed          `json:"pool"`
 	Affinity    [][2]uint16         `json:"affinity"`
@@ -148,7 +139,7 @@ type State struct {
 	SynthRot    int         `json:"synth_rot"`
 	Pending     [][2]uint16 `json:"pending"`
 
-	// Sharded-campaign topology (v3). Workers and EpochStmts identify the
+	// Sharded-campaign topology. Workers and EpochStmts identify the
 	// campaign like Seed does — resuming under a different topology would
 	// change every epoch boundary — and Epoch counts the merge barriers
 	// passed. Shards holds one complete per-worker state in shard-index
@@ -163,7 +154,7 @@ type State struct {
 	Epoch      int      `json:"epoch,omitempty"`
 	Shards     []*State `json:"shards,omitempty"`
 
-	// Chaos plane and supervision (v4). ChaosRate/ChaosSeed identify the
+	// Chaos plane and supervision. ChaosRate/ChaosSeed identify the
 	// injected fault schedule the way Seed identifies the fuzzing schedule,
 	// and MaxEpochRetries is the per-shard retry budget — all three are
 	// campaign identity: resuming under different values would diverge
@@ -177,23 +168,6 @@ type State struct {
 	Incidents       []Incident `json:"incidents,omitempty"`
 	Quarantined     bool       `json:"quarantined,omitempty"`
 	Retries         int        `json:"retries,omitempty"`
-}
-
-// versionFor stamps the oldest format version whose readers understand
-// every feature st uses: states that never engaged the chaos/supervision
-// plane keep writing v3, so a supervised-but-uneventful campaign's files
-// stay byte-identical to pre-supervision builds.
-func versionFor(st *State) int {
-	if st.ChaosRate != 0 || st.ChaosSeed != 0 || st.MaxEpochRetries != 0 ||
-		len(st.Incidents) > 0 || st.Quarantined || st.Retries > 0 {
-		return Version
-	}
-	for _, sh := range st.Shards {
-		if sh.Quarantined || sh.Retries > 0 {
-			return Version
-		}
-	}
-	return 3
 }
 
 // envelope wraps the state with an integrity checksum so a torn or
@@ -225,7 +199,7 @@ func Save(path string, st *State) error {
 // corrupted on disk. fsys lets callers route the writes through a
 // fault-injecting filesystem (internal/chaos).
 func SaveFS(fsys FS, path string, st *State) error {
-	st.Version = versionFor(st)
+	st.Version = Version
 	payload, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("checkpoint: marshal: %w", err)
@@ -299,8 +273,8 @@ func Load(path string) (*State, error) {
 	if err := json.Unmarshal(env.State, &st); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode state: %w", err)
 	}
-	if st.Version < minReadVersion || st.Version > Version {
-		return nil, fmt.Errorf("checkpoint: %s has format version %d, this build reads %d–%d", path, st.Version, minReadVersion, Version)
+	if st.Version != Version {
+		return nil, fmt.Errorf("checkpoint: %s has format version %d, this build reads %d", path, st.Version, Version)
 	}
 	return &st, nil
 }

@@ -3,8 +3,10 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,7 +20,6 @@ func sample() *State {
 		Stmts:        5678,
 		EnginePanics: 3,
 		RNG:          0xdeadbeefcafef00d,
-		FaultState:   42,
 		Pool: []PoolSeed{
 			{SQL: "CREATE TABLE t (a INT);", NewEdges: 9, Picked: 2},
 			{SQL: "SELECT 1;", NewEdges: 1, Picked: 0},
@@ -56,10 +57,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("round trip changed state:\nsaved  %s\nloaded %s", a, b)
 	}
-	// A state using no v4 feature is stamped with the oldest version that
-	// carries it, keeping pre-supervision campaigns byte-identical.
-	if got.Version != 3 {
-		t.Fatalf("version = %d, want 3 for a clean state", got.Version)
+	if got.Version != Version {
+		t.Fatalf("version = %d, want %d", got.Version, Version)
 	}
 }
 
@@ -154,17 +153,29 @@ func TestLoadRejectsVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsV1 pins the v1→v2 break: a checkpoint written by the v1
-// format (no triage fields) must be rejected loudly, not half-understood.
-func TestLoadRejectsV1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.ckpt")
-	writeVersion(t, path, "1")
-	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("v1 checkpoint must be rejected, got %v", err)
+// TestLoadAcceptsOnlyCurrentVersion: Load reads exactly Version. Every
+// older format — including v4, whose fault-injected campaigns recorded a
+// stream position the keyed fault schedule cannot honour — and every
+// future one is rejected loudly, not half-understood.
+func TestLoadAcceptsOnlyCurrentVersion(t *testing.T) {
+	dir := t.TempDir()
+	for v := 0; v <= Version+1; v++ {
+		path := filepath.Join(dir, fmt.Sprintf("v%d.ckpt", v))
+		writeVersion(t, path, strconv.Itoa(v))
+		_, err := Load(path)
+		if v == Version {
+			if err != nil {
+				t.Fatalf("v%d checkpoint must load, got %v", v, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Fatalf("v%d checkpoint must be rejected, got %v", v, err)
+		}
 	}
 }
 
-// TestTriageFieldsRoundTrip pins the v2 crash fields through a full file
+// TestTriageFieldsRoundTrip pins the crash triage fields through a full file
 // round trip, including their omission when empty (untriaged crash).
 func TestTriageFieldsRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "camp.ckpt")
@@ -180,9 +191,6 @@ func TestTriageFieldsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != 3 {
-		t.Fatalf("version = %d, want 3 for a clean state", got.Version)
-	}
 	c := got.Crashes[0]
 	if c.Status != "STABLE" || c.OriginalLen != 9 || c.MinimizedLen != 1 || c.Replays != 3 {
 		t.Fatalf("triage fields lost: %+v", c)
@@ -192,26 +200,7 @@ func TestTriageFieldsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadAcceptsV2 pins single-shard backward compatibility: a checkpoint
-// written by the pre-sharding v2 format must load cleanly, with the sharded
-// topology fields at their "one worker, state at top level" zero values.
-func TestLoadAcceptsV2(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.ckpt")
-	writeVersion(t, path, "2")
-	got, err := Load(path)
-	if err != nil {
-		t.Fatalf("v2 checkpoint must load, got %v", err)
-	}
-	if got.Workers != 0 || got.Epoch != 0 || len(got.Shards) != 0 {
-		t.Fatalf("v2 load grew shard topology: workers=%d epoch=%d shards=%d",
-			got.Workers, got.Epoch, len(got.Shards))
-	}
-	if got.Execs != 1234 || len(got.Pool) != 2 {
-		t.Fatalf("v2 campaign state lost: %+v", got)
-	}
-}
-
-// TestShardedRoundTrip pins the v3 layout: topology fields and the nested
+// TestShardedRoundTrip pins the sharded layout: topology fields and the nested
 // per-shard states survive a full file round trip byte-exactly.
 func TestShardedRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "camp.ckpt")

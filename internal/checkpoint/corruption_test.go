@@ -74,7 +74,7 @@ func TestLoadCorruptionMatrix(t *testing.T) {
 			// matches its checksum.
 			name: "bit-flipped payload",
 			write: func(t *testing.T, path string) {
-				good := validPayload(3)
+				good := validPayload(Version)
 				bad := []byte(strings.Replace(string(good), `"execs":1234`, `"execs":1235`, 1))
 				if string(bad) == string(good) {
 					t.Fatal("corruption did not land; fixture drifted")
@@ -174,33 +174,34 @@ func TestLoadWithFallbackRecoversEachCorruption(t *testing.T) {
 	}
 }
 
-// TestVersionStamping pins versionFor: v4 features promote the stamp,
-// their absence keeps the compatible v3.
+// TestVersionStamping: Save stamps Version on every state, whatever
+// features it uses, and overwrites a stale stamp a state may carry — there
+// is one format, so no state is written under an older one.
 func TestVersionStamping(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*State)
-		want int
 	}{
-		{"clean state", func(*State) {}, 3},
-		{"chaos identity", func(st *State) { st.ChaosRate = 0.1; st.ChaosSeed = 7 }, 4},
-		{"retry budget", func(st *State) { st.MaxEpochRetries = 3 }, 4},
+		{"clean state", func(*State) {}},
+		{"chaos identity", func(st *State) { st.ChaosRate = 0.1; st.ChaosSeed = 7 }},
+		{"retry budget", func(st *State) { st.MaxEpochRetries = 3 }},
 		{"incident journal", func(st *State) {
 			st.Incidents = []Incident{{Epoch: 1, Shard: 0, Kind: "WORKER_PANIC", Retries: 1, Outcome: "RETRIED"}}
-		}, 4},
+		}},
 		{"quarantined shard entry", func(st *State) {
 			st.Shards = []*State{sample(), sample()}
 			st.Shards[1].Quarantined = true
-		}, 4},
+		}},
 		{"shard retry tally", func(st *State) {
 			st.Shards = []*State{sample()}
 			st.Shards[0].Retries = 2
-		}, 4},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "c.ckpt")
 			st := sample()
+			st.Version = 3
 			tc.mut(st)
 			if err := Save(path, st); err != nil {
 				t.Fatal(err)
@@ -209,14 +210,15 @@ func TestVersionStamping(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Version != tc.want {
-				t.Fatalf("version = %d, want %d", got.Version, tc.want)
+			if got.Version != Version {
+				t.Fatalf("version = %d, want %d", got.Version, Version)
 			}
 		})
 	}
 }
 
-// TestV4RoundTrip: the supervision fields survive a save/load cycle.
+// TestV4RoundTrip: the supervision fields (introduced by format v4) survive
+// a save/load cycle.
 func TestV4RoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.ckpt")
 	st := sample()

@@ -17,8 +17,8 @@ import (
 )
 
 // This file converts live campaign state to and from checkpoint.State.
-// Snapshot must be taken at a Step boundary (Run and RunWithCheckpoint only
-// checkpoint between iterations): everything the fuzzing loop reads — pool,
+// Snapshot must be taken at a Step boundary (RunWithOptions only
+// checkpoints between iterations): everything the fuzzing loop reads — pool,
 // library, affinities, synthesizer, coverage, oracle, counters, and the RNG
 // stream position — is captured, so a Resume'd campaign replays the exact
 // schedule the uninterrupted campaign would have run.
@@ -33,7 +33,6 @@ func (f *Fuzzer) Snapshot() *checkpoint.State {
 		Stmts:        f.runner.Stmts,
 		EnginePanics: f.runner.EnginePanics,
 		RNG:          f.src.State(),
-		FaultState:   f.runner.Eng.FaultState(),
 	}
 
 	for _, s := range f.pool.All() {
@@ -85,7 +84,6 @@ func Resume(opts Options, st *checkpoint.State) (*Fuzzer, error) {
 
 	f := newFuzzer(opts)
 	f.src.SetState(st.RNG)
-	f.runner.Eng.SetFaultState(st.FaultState)
 	f.runner.Execs = st.Execs
 	f.runner.Stmts = st.Stmts
 	f.runner.EnginePanics = st.EnginePanics
@@ -162,19 +160,11 @@ type RunOptions struct {
 	Stop <-chan struct{}
 }
 
-// RunWithCheckpoint drives the fuzzer like Run, additionally saving a
-// snapshot via save every everyExecs executions (and once at the end).
-// Snapshots are taken only at iteration boundaries, where campaign state is
-// fully consistent.
-func (f *Fuzzer) RunWithCheckpoint(budgetStmts, everyExecs int, save func(*checkpoint.State) error) (*harness.Runner, error) {
-	runner, _, err := f.RunWithOptions(budgetStmts, RunOptions{EveryExecs: everyExecs, Save: save})
-	return runner, err
-}
-
-// RunWithOptions is the full-featured campaign loop behind Run and
-// RunWithCheckpoint: it drives the fuzzer until the statement budget is
-// consumed or opts.Stop is closed, checkpointing on the configured cadence
-// and once at the end. interrupted reports that the leg ended on the stop
+// RunWithOptions is the full-featured campaign loop behind Run: it drives
+// the fuzzer until the statement budget is consumed or opts.Stop is closed,
+// checkpointing on the configured cadence and once at the end. Snapshots
+// are taken only at iteration boundaries, where campaign state is fully
+// consistent. interrupted reports that the leg ended on the stop
 // channel with budget left — the caller can tell a completed campaign from
 // a gracefully shut-down one.
 func (f *Fuzzer) RunWithOptions(budgetStmts int, opts RunOptions) (runner *harness.Runner, interrupted bool, err error) {
@@ -276,39 +266,6 @@ func ImportCrashes(d sqlt.Dialect, crashes []checkpoint.Crash) ([]*oracle.Crash,
 		})
 	}
 	return out, nil
-}
-
-// ExportIncidents and ImportIncidents convert a supervised campaign's
-// incident journal between its live and checkpoint forms.
-func ExportIncidents(incidents []harness.Incident) []checkpoint.Incident {
-	var out []checkpoint.Incident
-	for _, in := range incidents {
-		out = append(out, checkpoint.Incident{
-			Epoch:   in.Epoch,
-			Shard:   in.Shard,
-			Kind:    in.Kind,
-			Retries: in.Retries,
-			Outcome: in.Outcome,
-			Detail:  in.Detail,
-		})
-	}
-	return out
-}
-
-// ImportIncidents is ExportIncidents's inverse.
-func ImportIncidents(incidents []checkpoint.Incident) []harness.Incident {
-	var out []harness.Incident
-	for _, in := range incidents {
-		out = append(out, harness.Incident{
-			Epoch:   in.Epoch,
-			Shard:   in.Shard,
-			Kind:    in.Kind,
-			Retries: in.Retries,
-			Outcome: in.Outcome,
-			Detail:  in.Detail,
-		})
-	}
-	return out
 }
 
 // ExportCurve and ImportCurve convert the coverage-over-time curve between

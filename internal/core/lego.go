@@ -55,10 +55,10 @@ type Options struct {
 	DisableSequenceAlgorithms bool
 	// Hazards arms the seeded bug corpus on the target engine.
 	Hazards bool
-	// FaultRate arms the engine's deterministic fault injector: organic
-	// (non-BugReport) panics are raised at this per-statement probability
-	// and must be contained by the harness instead of killing the
-	// campaign. Zero disables injection.
+	// FaultRate arms deterministic engine faults (keyed by Seed and the
+	// execution ordinal): organic (non-BugReport) panics are raised at this
+	// per-statement probability and must be contained by the harness
+	// instead of killing the campaign. Zero disables injection.
 	FaultRate float64
 	// DisablePlanCache turns off the engine's compiled-plan execution
 	// layer, running every expression through the tree-walking interpreter.

@@ -95,13 +95,13 @@ func TestResumeRejectsMismatchedCampaign(t *testing.T) {
 func TestRunWithCheckpointSavesPeriodically(t *testing.T) {
 	f := New(Options{Dialect: sqlt.DialectPostgres, Seed: 4})
 	saves := 0
-	_, err := f.RunWithCheckpoint(6000, 100, func(st *checkpoint.State) error {
+	_, _, err := f.RunWithOptions(6000, RunOptions{EveryExecs: 100, Save: func(st *checkpoint.State) error {
 		saves++
 		if st.Execs == 0 {
 			t.Fatal("snapshot with zero execs")
 		}
 		return nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,35 +157,6 @@ func RunCampaign(f FuzzerName, d sqlt.Dialect, execs int, seed int64, maxLen int
 	return res
 }
 
-// RunShardedCampaign executes one LEGO campaign as a deterministic sharded
-// run (internal/shard): workers parallel fuzzers sharing the total statement
-// budget, merged at epoch barriers, reported as the global view. The result
-// depends only on the arguments, never on scheduling, so scaling studies
-// (Figure 9 at N workers) are reproducible run to run. epochStmts <= 0 uses
-// the executor's default.
-func RunShardedCampaign(d sqlt.Dialect, stmts int, seed int64, maxLen, workers, epochStmts int) CampaignResult {
-	s := campaignSeed(seed, FuzzerLEGO, d)
-	e := shard.New(shard.Options{
-		Core:       core.Options{Dialect: d, Seed: s, Hazards: true, MaxLen: maxLen},
-		Workers:    workers,
-		EpochStmts: epochStmts,
-	})
-	if _, err := e.Run(stmts, shard.RunOptions{}); err != nil {
-		// Run can only fail through a Save hook, and none is installed.
-		panic(err)
-	}
-	return CampaignResult{
-		Fuzzer:               FuzzerLEGO,
-		Dialect:              d,
-		Execs:                e.Execs(),
-		Branches:             e.Branches(),
-		GenAffinities:        e.GenAffinities(),
-		DiscoveredAffinities: e.Affinities(),
-		Crashes:              e.Oracle().Crashes(),
-		Curve:                e.Curve(),
-	}
-}
-
 // ChaosStats summarizes how a supervised campaign's failure handling went:
 // the statements it actually executed (a quarantined shard forfeits its
 // residual budget), the incident journal size, and the degraded topology —
@@ -198,12 +169,16 @@ type ChaosStats struct {
 	PlanStats   minidb.PlanStats
 }
 
-// RunChaoticCampaign is RunShardedCampaign with the chaos plane armed:
-// injected worker panics and epoch stalls exercise the supervisor's
-// retry-from-barrier-snapshot path while the campaign runs. Like its
-// fault-free sibling, the result — incident journal included — is a pure
-// function of the arguments.
-func RunChaoticCampaign(d sqlt.Dialect, stmts int, seed int64, maxLen, workers, epochStmts int, chaosRate float64, chaosSeed int64) (CampaignResult, ChaosStats) {
+// RunShardedCampaign executes one LEGO campaign as a deterministic sharded
+// run (internal/shard): workers parallel fuzzers sharing the total statement
+// budget, merged at epoch barriers, reported as the global view. A non-zero
+// chaosRate arms the chaos plane, whose injected worker panics and epoch
+// stalls exercise the supervisor's retry-from-barrier-snapshot path; at rate
+// zero no fault is injected and chaosSeed is unused. The result — incident
+// journal included — depends only on the arguments, never on scheduling,
+// so scaling studies (Figure 9 at N workers) are reproducible run to run.
+// epochStmts <= 0 uses the executor's default.
+func RunShardedCampaign(d sqlt.Dialect, stmts int, seed int64, maxLen, workers, epochStmts int, chaosRate float64, chaosSeed int64) (CampaignResult, ChaosStats) {
 	s := campaignSeed(seed, FuzzerLEGO, d)
 	e := shard.New(shard.Options{
 		Core:       core.Options{Dialect: d, Seed: s, Hazards: true, MaxLen: maxLen},

@@ -78,10 +78,40 @@ func TestQuarantineRebuildsEngine(t *testing.T) {
 	if r.EnginePanics != 1 {
 		t.Fatalf("EnginePanics = %d", r.EnginePanics)
 	}
-	// The rebuilt engine carries the fault stream forward rather than
-	// replaying the schedule from the seed.
-	if r.Eng.FaultState() == 0 || r.Eng.FaultState() != old.FaultState() {
-		t.Fatal("quarantine must carry the fault injector state forward")
+}
+
+// TestQuarantineContinuesFaultSchedule: engine faults are keyed by the
+// execution ordinal, so a quarantine changes nothing about the schedule —
+// after a contained fault at execution k, execution k+1 faults exactly as it
+// would on a runner that never quarantined.
+func TestQuarantineContinuesFaultSchedule(t *testing.T) {
+	cfg := minidb.Config{Dialect: sqlt.DialectMariaDB, FaultRate: 0.2, FaultSeed: 5}
+	tc := sqlparse.MustParseScript(
+		"CREATE TABLE q (a INT); INSERT INTO q VALUES (1); SELECT * FROM q;")
+	r := NewRunnerWithConfig(cfg)
+	checked := 0
+	for k := 0; k < 60; k++ {
+		panics := r.EnginePanics
+		r.Execute(tc)
+		if r.EnginePanics == panics {
+			continue // no fault at k: nothing was quarantined
+		}
+		// A runner that never quarantined, positioned at execution k+1.
+		ref := NewRunnerWithConfig(cfg)
+		ref.Execs = r.Execs
+		_, _, want := ref.Execute(tc)
+		stmts := r.Stmts
+		_, _, got := r.Execute(tc)
+		k++
+		if (got == nil) != (want == nil) || (got != nil && got.StackKey() != want.StackKey()) ||
+			r.Stmts-stmts != ref.Stmts {
+			t.Fatalf("execution %d after a quarantine: crash %v after %d statements, never-quarantined runner %v after %d",
+				k, got, r.Stmts-stmts, want, ref.Stmts)
+		}
+		checked++
+	}
+	if checked == 0 || r.EnginePanics == r.Execs {
+		t.Fatalf("%d of %d executions faulted: the schedule must vary by execution", r.EnginePanics, r.Execs)
 	}
 }
 
@@ -104,7 +134,7 @@ SELECT * FROM v0;
 		t.Fatalf("seeded hazard did not fire: %v", crash)
 	}
 
-	// Simulate an organic panic by quarantining directly (the fault injector
+	// Simulate an organic panic by quarantining directly (engine faults
 	// cannot fire exactly once), then re-run the hazard case.
 	r.quarantine()
 	r.EnginePanics++

@@ -93,6 +93,7 @@ func (r *Runner) Execute(tc sqlast.TestCase) (novel bool, newEdges int, crash *m
 	// is still valid feedback.
 	tr := r.Eng.Tracer()
 	tr.Reset()
+	r.Eng.SetExec(r.Execs)
 	out := r.runContained(tc)
 	novel, newEdges = r.Cov.Accumulate(tr)
 	r.GenAff.Analyze(tc.Types())
@@ -129,14 +130,12 @@ func (r *Runner) runContained(tc sqlast.TestCase) (out minidb.Outcome) {
 }
 
 // quarantine discards the possibly-corrupt engine after an organic panic
-// and rebuilds a fresh one from the campaign configuration, carrying over
-// the fault injector's stream so contained faults do not restart the fault
-// schedule.
+// and rebuilds a fresh one from the campaign configuration. Engine faults
+// are keyed by the execution ordinal Execute passes in, so the rebuilt
+// engine continues the fault schedule without any carried state.
 func (r *Runner) quarantine() {
-	faultState := r.Eng.FaultState()
 	r.retiredPlanStats.Add(r.Eng.PlanStats())
 	r.Eng = minidb.New(r.cfg)
-	r.Eng.SetFaultState(faultState)
 }
 
 // PlanStats reports the campaign's plan-cache counters, including engines

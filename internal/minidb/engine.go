@@ -1,6 +1,7 @@
 package minidb
 
 import (
+	"github.com/seqfuzz/lego/internal/chaos"
 	"github.com/seqfuzz/lego/internal/coverage"
 	"github.com/seqfuzz/lego/internal/sqlast"
 	"github.com/seqfuzz/lego/internal/sqlt"
@@ -46,14 +47,14 @@ type Config struct {
 	// EnableHazards arms the seeded bug corpus (bugs.go). Disarmed engines
 	// are used by tests that exercise pure SQL semantics.
 	EnableHazards bool
-	// FaultRate arms the deterministic fault injector: each top-level
-	// statement panics with a non-BugReport value with this probability
-	// (fault.go). It models *organic* engine defects — the panics the
-	// harness must contain without dying — and exists to prove crash
-	// containment, not to find bugs. Zero disables injection.
+	// FaultRate arms deterministic engine faults: each top-level statement
+	// panics with a non-BugReport value at this probability, once per
+	// injection site (fault.go). It models *organic* engine defects — the
+	// panics the harness must contain without dying — and exists to prove
+	// crash containment, not to find bugs. Zero disables injection.
 	FaultRate float64
-	// FaultSeed seeds the injector's private RNG (default 1), keeping
-	// fault schedules reproducible per campaign.
+	// FaultSeed selects the fault schedule (default 1): every decision is
+	// a chaos-plane draw keyed by (FaultSeed, exec, statement, site).
 	FaultSeed int64
 	// DisablePlanCache turns off the compiled-plan execution layer: every
 	// expression position runs the tree-walking interpreter directly, with
@@ -103,7 +104,8 @@ type Engine struct {
 	tracer  *coverage.Tracer
 	limits  Limits
 	hazards []*Bug
-	faults  *faultInjector
+	faults  *chaos.Injector // nil when FaultRate <= 0
+	exec    int             // execution ordinal keying fault decisions (SetExec)
 
 	// txnStack holds catalog snapshots: index 0 is the BEGIN snapshot,
 	// later entries are savepoints (name in spNames).
@@ -163,7 +165,7 @@ func New(cfg Config) *Engine {
 		e.hazards = bugsFor(cfg.Dialect)
 	}
 	if cfg.FaultRate > 0 {
-		e.faults = newFaultInjector(cfg.FaultRate, cfg.FaultSeed)
+		e.faults = chaos.New(cfg.FaultRate, cfg.FaultSeed)
 	}
 	e.reset()
 	return e
@@ -314,11 +316,11 @@ func (e *Engine) ExecStmt(s sqlast.Statement) (*Result, error) {
 	e.triggerFires = 0
 	e.stepsUsed = 0
 	if e.faults != nil {
-		e.faults.beforeDispatch()
+		e.injectPreDispatch()
 	}
 	res, err := e.dispatch(s)
 	if e.faults != nil {
-		e.faults.afterDispatch()
+		e.injectPostDispatch()
 	}
 
 	// The type window records *attempted* statements: real DBMS crashes
@@ -513,24 +515,6 @@ func (e *Engine) chargeStep() error {
 // harness uses it to account statements faithfully when containing an
 // organic engine panic.
 func (e *Engine) StmtProgress() int { return e.stmtIndex + 1 }
-
-// FaultState exports the fault injector's RNG state (zero when injection is
-// disabled) so containment rebuilds and checkpoints preserve the fault
-// schedule instead of replaying it from the seed.
-func (e *Engine) FaultState() uint64 {
-	if e.faults == nil {
-		return 0
-	}
-	return e.faults.state
-}
-
-// SetFaultState restores injector state exported by FaultState. It is a
-// no-op when injection is disabled or state is zero.
-func (e *Engine) SetFaultState(s uint64) {
-	if e.faults != nil && s != 0 {
-		e.faults.state = s
-	}
-}
 
 // lookTable resolves a table name, returning a SQL error when missing.
 func (e *Engine) lookTable(name string) (*Table, error) {

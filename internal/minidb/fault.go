@@ -2,60 +2,45 @@ package minidb
 
 import "fmt"
 
-// faultInjector deterministically raises non-BugReport panics at statement
+// Engine faults are deterministic non-BugReport panics at statement
 // dispatch, simulating the organic engine defects (nil derefs, slice
 // overruns, logic bombs) a real in-process substrate accumulates over time.
 // AFL++ survives those because the DBMS runs in a forked child; our harness
-// must survive them via crash containment (harness.Runner), and the injector
-// exists so tests can prove that containment under load.
+// must survive them via crash containment (harness.Runner), and the faults
+// exist so tests can prove that containment under load.
 //
-// The injector owns a private splitmix64 stream so fault schedules are a
-// pure function of (FaultRate, FaultSeed) — independent of the fuzzer's RNG
-// and reproducible across runs.
-type faultInjector struct {
-	rate  float64
-	state uint64
-	n     int // faults raised so far
-}
+// Each decision is a keyed draw of the chaos plane, a pure function of
+// (FaultRate, FaultSeed, exec, statement, site): a rebuilt engine, a
+// retried epoch or a resumed campaign re-derives the same faults from the
+// execution ordinal alone, with no stream position to carry.
 
-func newFaultInjector(rate float64, seed int64) *faultInjector {
-	if seed == 0 {
-		seed = 1
-	}
-	return &faultInjector{rate: rate, state: uint64(seed)}
-}
+// The two injection sites. The panic's call stack differs between them, so
+// a campaign under fault injection accumulates (at least) two unique
+// organic crash signatures — enough to exercise oracle deduplication of
+// contained panics.
+const (
+	sitePreDispatch = iota
+	sitePostDispatch
+)
 
-// next draws a uniform float in [0, 1) from the private stream.
-func (f *faultInjector) next() float64 {
-	f.state += 0x9e3779b97f4a7c15
-	z := f.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
-}
+// SetExec sets the execution ordinal that keys the engine's fault decisions
+// for the following test cases. The harness passes its runner's Execs.
+func (e *Engine) SetExec(n int) { e.exec = n }
 
-// beforeDispatch and afterDispatch are two distinct injection sites: the
-// panic's call stack differs between them, so a campaign under fault
-// injection accumulates (at least) two unique organic crash signatures —
-// enough to exercise oracle deduplication of contained panics.
-
-// beforeDispatch raises a pre-dispatch organic fault.
+// injectPreDispatch raises a pre-dispatch organic fault when scheduled.
 //
 //lego:injector
-func (f *faultInjector) beforeDispatch() {
-	if f.next() < f.rate {
-		f.n++
-		panic(fmt.Errorf("injected engine fault #%d (pre-dispatch)", f.n))
+func (e *Engine) injectPreDispatch() {
+	if e.faults.EngineFault(e.exec, e.stmtIndex, sitePreDispatch) {
+		panic(fmt.Errorf("injected engine fault (exec %d, statement %d, pre-dispatch)", e.exec, e.stmtIndex))
 	}
 }
 
-// afterDispatch raises a post-dispatch organic fault.
+// injectPostDispatch raises a post-dispatch organic fault when scheduled.
 //
 //lego:injector
-func (f *faultInjector) afterDispatch() {
-	if f.next() < f.rate {
-		f.n++
-		panic(fmt.Errorf("injected engine fault #%d (post-dispatch)", f.n))
+func (e *Engine) injectPostDispatch() {
+	if e.faults.EngineFault(e.exec, e.stmtIndex, sitePostDispatch) {
+		panic(fmt.Errorf("injected engine fault (exec %d, statement %d, post-dispatch)", e.exec, e.stmtIndex))
 	}
 }

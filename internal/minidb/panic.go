@@ -112,7 +112,7 @@ func organicComponent(frames []string) string {
 		return "Optimizer"
 	case strings.Contains(f, "rewrite") || strings.Contains(f, "Rewrite"):
 		return "Rewriter"
-	case strings.Contains(f, "faultInjector"):
+	case strings.Contains(f, ".inject"):
 		return "Injected"
 	default:
 		return "Engine"

@@ -1,6 +1,7 @@
 package minidb
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -91,6 +92,7 @@ func TestFaultInjectorDeterministicSchedule(t *testing.T) {
 			"CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT * FROM t;")
 		var panicsAt []int
 		for i := 0; i < 50; i++ {
+			e.SetExec(i)
 			out := func() (out Outcome) {
 				defer func() { recover() }()
 				return e.RunTestCase(tc)
@@ -115,31 +117,38 @@ func TestFaultInjectorDeterministicSchedule(t *testing.T) {
 	}
 }
 
-func TestFaultStateExportRestore(t *testing.T) {
-	e1 := New(Config{Dialect: sqlt.DialectPostgres, FaultRate: 0.5, FaultSeed: 7})
-	// advance the stream
-	for i := 0; i < 10; i++ {
-		e1.faults.next()
+// TestEngineFaultKeyedByExec: an engine's faults depend on the execution
+// ordinal alone, not on what the engine ran before — a fresh engine set to
+// exec k faults exactly where a long-lived engine faulted at exec k, at the
+// same statement and site.
+func TestEngineFaultKeyedByExec(t *testing.T) {
+	cfg := Config{Dialect: sqlt.DialectPostgres, FaultRate: 0.2, FaultSeed: 9}
+	tc := sqlparse.MustParseScript(
+		"CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT * FROM t;")
+	fault := func(e *Engine, exec int) (msg string) {
+		e.SetExec(exec)
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		e.RunTestCase(tc)
+		return ""
 	}
-	st := e1.FaultState()
-	if st == 0 {
-		t.Fatal("armed injector must export non-zero state")
-	}
-
-	e2 := New(Config{Dialect: sqlt.DialectPostgres, FaultRate: 0.5, FaultSeed: 7})
-	e2.SetFaultState(st)
-	for i := 0; i < 20; i++ {
-		if a, b := e1.faults.next(), e2.faults.next(); a != b {
-			t.Fatalf("restored stream diverges at draw %d: %v vs %v", i, a, b)
+	long := New(cfg)
+	faults := 0
+	for exec := 0; exec < 40; exec++ {
+		want := fault(long, exec)
+		if want != "" {
+			faults++
+		}
+		if got := fault(New(cfg), exec); got != want {
+			t.Fatalf("exec %d: fresh engine faulted %q, long-lived engine %q", exec, got, want)
 		}
 	}
-
-	// Disarmed engines export zero and ignore restores.
-	d := New(Config{Dialect: sqlt.DialectPostgres})
-	if d.FaultState() != 0 {
-		t.Fatal("disarmed engine must export zero fault state")
+	if faults == 0 || faults == 40 {
+		t.Fatalf("%d/40 executions faulted: the ordinal does not vary the schedule", faults)
 	}
-	d.SetFaultState(123) // must not panic
 }
 
 func TestOrganicReportNormalizesAndDeduplicates(t *testing.T) {

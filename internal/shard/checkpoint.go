@@ -15,9 +15,8 @@ import (
 //
 // The supervision fields are written only when used — chaos identity only
 // when the chaos plane is armed, the retry budget only when it matters for
-// resume identity — so an unsupervised campaign's snapshot stays a clean v3
-// state, byte-identical to pre-supervision builds (checkpoint.Save stamps
-// the matching version).
+// resume identity — so a campaign that never engages supervision writes
+// none of them.
 func (e *Executor) Snapshot() *checkpoint.State {
 	shards := make([]*checkpoint.State, len(e.shards))
 	for i, sh := range e.shards {
@@ -47,7 +46,7 @@ func (e *Executor) Snapshot() *checkpoint.State {
 		Epoch:      e.epoch,
 		Shards:     shards,
 
-		Incidents: core.ExportIncidents(e.incidents),
+		Incidents: e.incidents,
 	}
 	if e.opts.ChaosRate != 0 {
 		st.ChaosRate = e.opts.ChaosRate
@@ -66,13 +65,13 @@ func (e *Executor) Snapshot() *checkpoint.State {
 // a different one would move every epoch barrier — so mismatches fail
 // loudly, like core.Resume does for seed and dialect.
 //
-// A v2 (or otherwise single-shard) checkpoint resumes as a one-worker
-// campaign: the top-level state is the worker.
+// A single-shard checkpoint (written by the unsharded path) resumes as a
+// one-worker campaign: the top-level state is the worker.
 func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 	opts.fill()
 	stWorkers := st.Workers
 	if stWorkers == 0 {
-		stWorkers = 1 // pre-v3 and single-shard checkpoints omit the field
+		stWorkers = 1 // single-shard checkpoints omit the field
 	}
 	if stWorkers != opts.Workers {
 		return nil, fmt.Errorf("shard: resume: checkpoint has %d workers, options request %d", stWorkers, opts.Workers)
@@ -97,7 +96,7 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 	e.epoch = st.Epoch
 	e.retries = make([]int, opts.Workers)
 	e.quarantined = make([]bool, opts.Workers)
-	e.incidents = core.ImportIncidents(st.Incidents)
+	e.incidents = st.Incidents
 	if len(st.Shards) == 0 {
 		// Single-shard: the worker state lives at the top level. Fast-forward
 		// the epoch counter past the statements already executed so the

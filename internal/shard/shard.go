@@ -145,7 +145,7 @@ type Executor struct {
 	snapEpoch   int
 	retries     []int
 	quarantined []bool
-	incidents   []harness.Incident
+	incidents   []checkpoint.Incident
 	chaos       *chaos.Injector
 	fs          checkpoint.FS
 	saveFaults  int
@@ -506,7 +506,7 @@ func (e *Executor) PoolLen() int {
 }
 
 // Incidents returns the campaign's failure journal in occurrence order.
-func (e *Executor) Incidents() []harness.Incident { return e.incidents }
+func (e *Executor) Incidents() []checkpoint.Incident { return e.incidents }
 
 // QuarantinedShards returns the indices of quarantined shards in order.
 func (e *Executor) QuarantinedShards() []int {

@@ -11,7 +11,7 @@ import (
 )
 
 // testOptions is a small but bug-bearing campaign: hazards armed so crashes
-// cross-pollinate, fault injection armed so the per-shard injector streams
+// cross-pollinate, fault injection armed so the per-shard fault schedules
 // are exercised, and an epoch short enough that a few-thousand-statement
 // budget crosses several barriers.
 func testOptions(workers int) Options {

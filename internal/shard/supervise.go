@@ -130,7 +130,7 @@ func (e *Executor) runEpoch(targets []int) {
 				continue
 			}
 			e.restore(i)
-			in := harness.Incident{Epoch: e.epoch, Shard: i, Kind: f.kind, Detail: f.detail}
+			in := checkpoint.Incident{Epoch: e.epoch, Shard: i, Kind: f.kind, Detail: f.detail}
 			if e.retries[i] < e.opts.MaxEpochRetries {
 				e.retries[i]++
 				attempts[i]++

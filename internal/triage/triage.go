@@ -13,7 +13,8 @@
 //     times on a fresh quarantined engine built from the campaign
 //     configuration. The crash is classified STABLE (every replay produced
 //     the same normalized stack key), FLAKY (some did), or LOST (none did —
-//     typically an injected organic fault whose schedule has moved on).
+//     typically an injected organic fault, whose decisions are keyed by an
+//     execution ordinal the replay does not share).
 //  2. Minimization — ddmin over the statement sequence: first every single
 //     statement is dropped greedily to a fixpoint, then chunks found by
 //     binary chopping. A candidate is accepted only when its replay crashes
@@ -21,7 +22,7 @@
 //     different bug. A hard per-crash step budget bounds the work.
 //  3. Re-record — the crash entry is updated in place: the shortest known
 //     reproducer, the classification, and the replay tally, all of which
-//     round-trip through checkpoints (format v2).
+//     round-trip through checkpoints.
 //
 // Replays execute through a private harness.Runner, so organic panics during
 // triage are contained and quarantined exactly as during the campaign, and
@@ -86,7 +87,7 @@ type Triager struct {
 
 // New builds a triager. engCfg must be the campaign's engine configuration
 // (harness.Runner.Config()), so hazard arming, dialect, and the fault
-// injector's seed match the engine the crashes were found on — triage is
+// schedule's seed match the engine the crashes were found on — triage is
 // then a pure function of (engine config, crash list, Config) and two passes
 // over the same campaign give identical results.
 func New(engCfg minidb.Config, cfg Config) *Triager {

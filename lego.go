@@ -67,11 +67,12 @@ type Config struct {
 	// SplitLongSeeds enables the paper's §VI future-work extension: long
 	// retained seeds are additionally split into overlapping short seeds.
 	SplitLongSeeds bool
-	// FaultRate arms the engine's deterministic fault injector: each
-	// statement panics with a non-seeded (organic) fault at this
-	// probability, exercising the harness's crash containment. Contained
-	// panics surface as Report.EnginePanics and as deduplicated PANIC
-	// bugs. Zero disables injection.
+	// FaultRate arms deterministic engine faults: each statement panics
+	// with a non-seeded (organic) fault at this probability, exercising the
+	// harness's crash containment. The schedule is keyed by (Seed,
+	// execution, statement), so reruns and resumes see the same faults.
+	// Contained panics surface as Report.EnginePanics and as deduplicated
+	// PANIC bugs. Zero disables injection.
 	FaultRate float64
 	// Triage runs the crash triage pipeline when a Fuzz call ends: every
 	// unique crash is re-verified on a fresh quarantined engine and
@@ -406,14 +407,7 @@ func (f *Fuzzer) report(runner *harness.Runner) Report {
 func (f *Fuzzer) shardedReport() Report {
 	var incidents []Incident
 	for _, in := range f.sharded.Incidents() {
-		incidents = append(incidents, Incident{
-			Epoch:   in.Epoch,
-			Shard:   in.Shard,
-			Kind:    in.Kind,
-			Retries: in.Retries,
-			Outcome: in.Outcome,
-			Detail:  in.Detail,
-		})
+		incidents = append(incidents, Incident(in))
 	}
 	return Report{
 		Executions:   f.sharded.Execs(),
