@@ -153,6 +153,14 @@ func TestLoadRejectsVersionMismatch(t *testing.T) {
 	}
 }
 
+func TestLoadRejectsV1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	writeVersion(t, path, "1")
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 checkpoint must be rejected, got %v", err)
+	}
+}
+
 // TestLoadAcceptsOnlyCurrentVersion: Load reads exactly Version. Every
 // older format — including v4, whose fault-injected campaigns recorded a
 // stream position the keyed fault schedule cannot honour — and every
