@@ -128,4 +128,48 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	check("ExecStmt-compiled", 40, func() {
 		_, _ = eng.ExecStmt(sel)
 	})
+
+	// Engine reset between test cases: the catalog, session and
+	// transaction stacks are emptied in place, so once a dirty test case
+	// has given them storage, a reset allocates nothing.
+	eng.RunTestCase(sqlparse.MustParseScript(`
+CREATE TABLE r (a INT);
+CREATE INDEX ri ON r (a);
+SET x = 1;
+BEGIN;
+SAVEPOINT sp0;
+`))
+	check("RunTestCase-reset", 0, func() {
+		eng.RunTestCase(nil)
+	})
+
+	// MERGE over an n×n row pair: one scope map and one set of qualified
+	// keys per statement, cleared and rebound for every row pair, so the
+	// cost is fixed per statement and must not grow with the row count.
+	// The ON predicate matches no pair, so the tables stay unchanged, and
+	// it names target columns unqualified: the interpreter builds each
+	// qualified column key per evaluation, a per-row cost of its own.
+	for _, n := range []int{4, 64} {
+		eng := minidb.New(minidb.Config{Dialect: sqlt.DialectMariaDB})
+		var sb strings.Builder
+		sb.WriteString("CREATE TABLE tgt (a INT, b INT);\nCREATE TABLE src (a INT, b INT);\n")
+		for _, tbl := range []string{"tgt", "src"} {
+			fmt.Fprintf(&sb, "INSERT INTO %s VALUES (0, 0)", tbl)
+			for i := 1; i < n; i++ {
+				fmt.Fprintf(&sb, ", (%d, %d)", i, i)
+			}
+			sb.WriteString(";\n")
+		}
+		for _, s := range sqlparse.MustParseScript(sb.String()) {
+			if _, err := eng.ExecStmt(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		merge := sqlparse.MustParseScript("MERGE INTO tgt USING src ON b < a - 1000 WHEN MATCHED THEN UPDATE SET b = src.b;")[0]
+		check(fmt.Sprintf("MERGE-%dx%d", n, n), 12, func() {
+			if _, err := eng.ExecStmt(merge); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -1,7 +1,9 @@
 package minidb
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/seqfuzz/lego/internal/sqlast"
 )
@@ -161,7 +163,7 @@ type Catalog struct {
 
 // NewCatalog returns an empty catalog with the default database and schema.
 func NewCatalog() *Catalog {
-	return &Catalog{
+	c := &Catalog{
 		Tables:     map[string]*Table{},
 		Views:      map[string]*View{},
 		Indexes:    map[string]*Index{},
@@ -173,11 +175,37 @@ func NewCatalog() *Catalog {
 		Domains:    map[string]*Domain{},
 		Enums:      map[string]*EnumType{},
 		Roles:      map[string]*Role{},
-		Schemas:    map[string]bool{"public": true},
+		Schemas:    map[string]bool{},
 		Extensions: map[string]bool{},
-		Databases:  map[string]bool{"main": true},
+		Databases:  map[string]bool{},
 		Comments:   map[string]string{},
 	}
+	c.reset()
+	return c
+}
+
+// reset empties the catalog in place back to NewCatalog's state: every map
+// is cleared, keeping its storage for the next test case, and the default
+// schema and database are restored. A field added to Catalog must be added
+// here too; TestResetIsComplete walks the struct and fails if it is not.
+func (c *Catalog) reset() {
+	clear(c.Tables)
+	clear(c.Views)
+	clear(c.Indexes)
+	clear(c.Triggers)
+	clear(c.Rules)
+	clear(c.Sequences)
+	clear(c.Functions)
+	clear(c.Procedures)
+	clear(c.Domains)
+	clear(c.Enums)
+	clear(c.Roles)
+	clear(c.Schemas)
+	clear(c.Extensions)
+	clear(c.Databases)
+	clear(c.Comments)
+	c.Schemas["public"] = true
+	c.Databases["main"] = true
 }
 
 // tableNames returns table names in sorted order for deterministic
@@ -200,7 +228,7 @@ func (c *Catalog) triggersFor(table string, tm sqlast.TriggerTime, ev sqlast.Tri
 			out = append(out, tr)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *Trigger) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -212,7 +240,7 @@ func (c *Catalog) rulesFor(table string, ev sqlast.TriggerEvent) []*Rule {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *Rule) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -224,7 +252,7 @@ func (c *Catalog) indexesFor(table string) []*Index {
 			out = append(out, ix)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *Index) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 

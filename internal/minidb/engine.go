@@ -84,15 +84,31 @@ type cursor struct {
 }
 
 func newSession() *session {
-	return &session{
+	s := &session{
 		vars:      map[string]Value{},
 		globals:   map[string]Value{},
 		listening: map[string]bool{},
 		cursors:   map[string]*cursor{},
 		prepared:  map[string]sqlast.Statement{},
-		isolation: "READ COMMITTED",
-		curDB:     "main",
 	}
+	s.reset()
+	return s
+}
+
+// reset returns the session to newSession's state in place, keeping map
+// and slice storage for the next test case. Like Catalog.reset, it must
+// name every field; TestResetIsComplete checks that it does.
+func (s *session) reset() {
+	clear(s.vars)
+	clear(s.globals)
+	s.role = ""
+	clear(s.listening)
+	clear(s.notices)
+	s.notices = s.notices[:0]
+	clear(s.cursors)
+	clear(s.prepared)
+	s.isolation = "READ COMMITTED"
+	s.curDB = "main"
 }
 
 // Engine executes SQL test cases against a fresh in-memory database.
@@ -157,6 +173,8 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		cfg:      cfg,
+		cat:      NewCatalog(),
+		sess:     newSession(),
 		limits:   cfg.Limits,
 		tracer:   coverage.NewTracer(),
 		covBatch: coverage.NewBatch(covBatchCap), //lego:allow bufretain — the engine owns this batch for its lifetime; only Flush borrows its Sites
@@ -167,7 +185,6 @@ func New(cfg Config) *Engine {
 	if cfg.FaultRate > 0 {
 		e.faults = chaos.New(cfg.FaultRate, cfg.FaultSeed)
 	}
-	e.reset()
 	return e
 }
 
@@ -177,12 +194,15 @@ func (e *Engine) Dialect() sqlt.Dialect { return e.cfg.Dialect }
 // Tracer exposes the engine's coverage tracer for feedback harvesting.
 func (e *Engine) Tracer() *coverage.Tracer { return e.tracer }
 
-// reset re-creates all database state for the next test case.
+// reset empties all database state for the next test case. It works in
+// place: the catalog, session and transaction stacks keep their storage, so
+// a reset in steady state allocates nothing. After a ROLLBACK e.cat is the
+// former BEGIN snapshot; clearing it is safe because ROLLBACK's endTxn
+// already dropped its only other reference, txnStack[0].
 func (e *Engine) reset() {
-	e.cat = NewCatalog()
-	e.sess = newSession()
-	e.txnStack = nil
-	e.spNames = nil
+	e.cat.reset()
+	e.sess.reset()
+	e.endTxn()
 	e.typeWindow = e.typeWindow[:0]
 	e.triggerDepth = 0
 	e.rewriteDepth = 0
@@ -193,6 +213,16 @@ func (e *Engine) reset() {
 	e.rowsInserted = 0
 	e.lastInsertTab = ""
 	e.fpValid = false
+}
+
+// endTxn drops every transaction snapshot and savepoint name. It clears
+// the stacks' whole backing arrays, including entries a RELEASE or
+// ROLLBACK TO truncated away, so no former snapshot stays reachable.
+func (e *Engine) endTxn() {
+	clear(e.txnStack[:cap(e.txnStack)])
+	e.txnStack = e.txnStack[:0]
+	clear(e.spNames[:cap(e.spNames)])
+	e.spNames = e.spNames[:0]
 }
 
 // covBatchCap sizes the per-engine hit batch; a batch that reaches it is

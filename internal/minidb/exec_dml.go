@@ -594,18 +594,27 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 	if err := e.checkPriv(st.Target, "UPDATE"); err != nil {
 		return nil, err
 	}
+	// One scope map serves every row pair, cleared before each binding
+	// (DESIGN §9 allocation-reuse rules). Reuse is safe because nothing
+	// retains the scope past a row's ON/SET or VALUES evaluation: eval
+	// only reads it, and the subqueries and function calls it reaches hold
+	// it as a parent only while they run (their machines and child scopes
+	// are built per evaluation). The qualified keys are built once here.
+	sc := &scope{row: make(map[string]Value, 2*(len(target.Cols)+len(source.Cols)))}
+	tKeys := qualifiedKeys(st.Target, target.Cols)
+	sKeys := qualifiedKeys(st.Source, source.Cols)
 	affected := 0
 	var toDelete []int
 	for _, srow := range source.Rows {
 		matchedAny := false
 		for ri, trow := range target.Rows {
-			sc := &scope{row: map[string]Value{}}
+			clear(sc.row)
 			for ci := range target.Cols {
 				sc.row[target.Cols[ci].Name] = trow[ci]
-				sc.row[st.Target+"."+target.Cols[ci].Name] = trow[ci]
+				sc.row[tKeys[ci]] = trow[ci]
 			}
 			for ci := range source.Cols {
-				sc.row[st.Source+"."+source.Cols[ci].Name] = srow[ci]
+				sc.row[sKeys[ci]] = srow[ci]
 			}
 			v, err := e.eval(st.On, sc, 0)
 			if err != nil {
@@ -641,10 +650,10 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 				return nil, errValue("MERGE insert arity mismatch")
 			}
 			row := make([]Value, len(target.Cols))
-			sc := &scope{row: map[string]Value{}}
+			clear(sc.row)
 			for ci := range source.Cols {
 				sc.row[source.Cols[ci].Name] = srow[ci]
-				sc.row[st.Source+"."+source.Cols[ci].Name] = srow[ci]
+				sc.row[sKeys[ci]] = srow[ci]
 			}
 			for i, x := range st.NotMatchedVals {
 				v, err := e.eval(x, sc, 0)
@@ -676,6 +685,15 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 	}
 	target.analyzed = false
 	return &Result{Affected: affected, Msg: "MERGE"}, nil
+}
+
+// qualifiedKeys returns the "qual.col" scope keys of cols, in column order.
+func qualifiedKeys(qual string, cols []Column) []string {
+	keys := make([]string, len(cols))
+	for i := range cols {
+		keys[i] = qual + "." + cols[i].Name
+	}
+	return keys
 }
 
 func (e *Engine) execCopy(st *sqlast.CopyStmt) (*Result, error) {

@@ -140,8 +140,8 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 			e.hit(pTxnBeginNested)
 			return nil, errValue("a transaction is already in progress")
 		}
-		e.txnStack = []*Catalog{e.cat.snapshot()}
-		e.spNames = []string{""}
+		e.txnStack = append(e.txnStack, e.cat.snapshot())
+		e.spNames = append(e.spNames, "")
 		return ok("BEGIN")
 	case sqlt.Commit:
 		e.hit(pTxnCommit)
@@ -149,8 +149,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 			e.hit(pTxnCommitNoTxn)
 			return nil, errValue("no transaction in progress")
 		}
-		e.txnStack = nil
-		e.spNames = nil
+		e.endTxn()
 		return ok("COMMIT")
 	case sqlt.Rollback:
 		e.hit(pTxnRollback)
@@ -159,8 +158,7 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 			return nil, errValue("no transaction in progress")
 		}
 		e.cat = e.txnStack[0]
-		e.txnStack = nil
-		e.spNames = nil
+		e.endTxn()
 		return ok("ROLLBACK")
 	case sqlt.Savepoint:
 		e.hit(pTxnSavepoint)
@@ -377,9 +375,9 @@ func (e *Engine) execDiscard(st *sqlast.DiscardStmt) (*Result, error) {
 	e.hit(pDiscard)
 	switch st.What {
 	case "ALL":
-		e.sess.vars = map[string]Value{}
-		e.sess.prepared = map[string]sqlast.Statement{}
-		e.sess.cursors = map[string]*cursor{}
+		clear(e.sess.vars)
+		clear(e.sess.prepared)
+		clear(e.sess.cursors)
 		for n, t := range e.cat.Tables {
 			if t.Temp {
 				delete(e.cat.Tables, n)
@@ -497,7 +495,7 @@ func (e *Engine) execNotify(st *sqlast.NotifyStmt) (*Result, error) {
 func (e *Engine) execUnlisten(st *sqlast.UnlistenStmt) (*Result, error) {
 	e.hit(pUnlisten)
 	if st.Channel == "*" {
-		e.sess.listening = map[string]bool{}
+		clear(e.sess.listening)
 	} else {
 		delete(e.sess.listening, st.Channel)
 	}
