@@ -36,7 +36,8 @@ perfbench-test:
 # legolint statically enforces the campaign-determinism invariants (map
 # iteration order, global math/rand, wall-clock reads, minidb panic
 # discipline) and the cross-package contracts (sqlast switch exhaustiveness,
-# memo invalidation, hotpath allocation, borrowed-buffer retention).
+# memo invalidation, hotpath allocation, borrowed-buffer retention,
+# immutable AST leaves).
 # Suppress one finding with `//lego:allow <analyzer> — <reason>`; machine
 # output: $(GO) vet -json -vettool=... ./...
 lint:

@@ -11,10 +11,12 @@ package lego_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/seqfuzz/lego/internal/coverage"
+	"github.com/seqfuzz/lego/internal/instantiate"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/sqlast"
 	"github.com/seqfuzz/lego/internal/sqlparse"
@@ -42,9 +44,11 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 		}
 	}
 
-	// Structural clone of the join query: one allocation per node plus one
-	// per non-empty slice. The reparse path this replaced cost hundreds.
-	check("CloneStatement", 25, func() {
+	// Structural clone of the join query: one allocation per interior node
+	// plus one per non-empty slice; the immutable leaves (literals, column
+	// references, stars) are shared, not copied. The reparse path this
+	// replaced cost hundreds.
+	check("CloneStatement", 10, func() {
 		_ = sqlparse.CloneStatement(stmt)
 	})
 
@@ -62,8 +66,17 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	})
 
 	// Test-case clone: clone of every statement plus the slice header.
-	check("CloneTestCase", 25, func() {
+	check("CloneTestCase", 12, func() {
 		_ = sqlparse.CloneTestCase(tc)
+	})
+
+	// Dependency fix of an already-consistent case: the fixer empties one
+	// simulated schema in place per call, so after warm-up only the
+	// per-statement column lists and rewrite closures allocate.
+	fixer := instantiate.NewFixer(rand.New(rand.NewSource(1)))
+	fixer.Fix(tc)
+	check("Fixer.Fix", 3, func() {
+		fixer.Fix(tc)
 	})
 
 	// Coverage tracer hit and map accumulate: steady-state zero. The

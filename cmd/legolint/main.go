@@ -9,13 +9,14 @@
 //
 //	go vet -json -vettool=$(pwd)/bin/legolint ./...
 //
-// It ships eight analyzers. Four guard determinism — detrange, globalrand,
-// walltime, panicdiscipline — and four guard the PR 6 AST/throughput
-// contracts with cross-package facts: nodeexhaustive (annotated type
-// switches cover every sqlast node), memoinvalidate (in-place node mutation
-// has InvalidateSQL on a call path), hotalloc (//lego:hotpath functions do
-// not allocate in loops), and bufretain (//lego:borrowed engine buffers are
-// not retained by callers). Each finding is suppressible with
+// It ships nine analyzers. Four guard determinism — detrange, globalrand,
+// walltime, panicdiscipline — and five guard the AST/throughput contracts
+// with cross-package facts: nodeexhaustive (annotated type switches cover
+// every sqlast node), memoinvalidate (in-place node mutation has
+// InvalidateSQL on a call path), hotalloc (//lego:hotpath functions do not
+// allocate in loops), bufretain (//lego:borrowed engine buffers are not
+// retained by callers), and immutable (fields of //lego:immutable types,
+// the AST leaves clones share, are never written). Each finding is suppressible with
 // `//lego:allow <analyzer> — <reason>`; bare or unused allows are
 // themselves diagnostics. See internal/analysis and the "Static contracts"
 // section of DESIGN.md.
@@ -26,6 +27,7 @@ import (
 	"github.com/seqfuzz/lego/internal/analysis/detrange"
 	"github.com/seqfuzz/lego/internal/analysis/globalrand"
 	"github.com/seqfuzz/lego/internal/analysis/hotalloc"
+	"github.com/seqfuzz/lego/internal/analysis/immutable"
 	"github.com/seqfuzz/lego/internal/analysis/memoinvalidate"
 	"github.com/seqfuzz/lego/internal/analysis/nodeexhaustive"
 	"github.com/seqfuzz/lego/internal/analysis/panicdiscipline"
@@ -43,5 +45,6 @@ func main() {
 		memoinvalidate.Analyzer,
 		hotalloc.Analyzer,
 		bufretain.Analyzer,
+		immutable.Analyzer,
 	)
 }

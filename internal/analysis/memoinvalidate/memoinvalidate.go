@@ -200,7 +200,7 @@ func (g *graph) scan(fn *types.Func, fi *funcInfo) {
 					if !ok || i >= len(n.Rhs) {
 						continue
 					}
-					if isCompositeConstruction(n.Rhs[i]) {
+					if analysis.IsCompositeConstruction(n.Rhs[i]) {
 						if obj := info.Defs[id]; obj != nil {
 							fresh[obj] = true
 						}
@@ -231,24 +231,6 @@ func (g *graph) scan(fn *types.Func, fi *funcInfo) {
 		}
 		return true
 	})
-}
-
-// isCompositeConstruction reports whether the expression builds a fresh
-// value: T{...}, &T{...}, or a Clone() call (clones start memo-cold but
-// mutating one still needs invalidation — a clone of a memoized node starts
-// cold only until its first render, so Clone results are NOT fresh here;
-// only literals are).
-func isCompositeConstruction(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			_, ok := e.X.(*ast.CompositeLit)
-			return ok
-		}
-	}
-	return false
 }
 
 // checkWrite records a mutation when the LHS writes through a field whose

@@ -113,3 +113,20 @@ func IsMapType(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Map)
 	return ok
 }
+
+// IsCompositeConstruction reports whether the expression builds a fresh
+// value from a composite literal: T{...} or &T{...}. A local defined from
+// one aliases nothing yet, so writing its fields is construction, not
+// mutation. Constructor calls and Clone results do not count.
+func IsCompositeConstruction(e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.CompositeLit:
+		return true
+	case *ast.UnaryExpr:
+		if e.Op == token.AND {
+			_, ok := e.X.(*ast.CompositeLit)
+			return ok
+		}
+	}
+	return false
+}

@@ -20,16 +20,22 @@ import (
 // The fix is best-effort by design: a fraction of semantic errors is useful
 // to fuzzing (error-handling paths are code too), so unresolvable
 // references are left in place rather than deleted.
+//
+// A Fixer keeps one simulated schema and empties it in place at the start
+// of every Fix, so a Fixer must not be shared between goroutines. Each
+// Instantiator owns one, and each campaign (or shard) owns its Instantiator.
 type Fixer struct {
 	Rng *rand.Rand
+	sch *simSchema
 }
 
 // NewFixer returns a fixer.
-func NewFixer(rng *rand.Rand) *Fixer { return &Fixer{Rng: rng} }
+func NewFixer(rng *rand.Rand) *Fixer { return &Fixer{Rng: rng, sch: newSimSchema()} }
 
 // simSchema is the simulated catalog built while walking the test case.
 type simSchema struct {
 	tables  map[string][]string // table -> columns
+	names   []string            // tableNames' reused buffer
 	views   []string
 	indexes []string
 	trigs   []string
@@ -48,13 +54,34 @@ func newSimSchema() *simSchema {
 	return &simSchema{tables: map[string][]string{}}
 }
 
+// reset empties the schema in place, keeping the map's buckets and the
+// slices' backing arrays for the next test case.
+func (s *simSchema) reset() {
+	clear(s.tables)
+	s.views = s.views[:0]
+	s.indexes = s.indexes[:0]
+	s.trigs = s.trigs[:0]
+	s.seqs = s.seqs[:0]
+	s.funcs = s.funcs[:0]
+	s.procs = s.procs[:0]
+	s.rules = s.rules[:0]
+	s.roles = s.roles[:0]
+	s.preps = s.preps[:0]
+	s.cursors = s.cursors[:0]
+	s.saves = s.saves[:0]
+	s.fresh = 0
+}
+
+// tableNames returns the simulated tables in sorted order. The slice is a
+// reused buffer, valid until the next call.
 func (s *simSchema) tableNames() []string {
-	out := make([]string, 0, len(s.tables))
+	out := s.names[:0]
 	for n := range s.tables {
 		out = append(out, n)
 	}
 	// deterministic order for a given rng seed
 	sort.Strings(out)
+	s.names = out
 	return out
 }
 
@@ -91,7 +118,8 @@ func dropStr(ss []string, v string) []string {
 
 // Fix repairs the test case in place.
 func (f *Fixer) Fix(tc sqlast.TestCase) {
-	sch := newSimSchema()
+	sch := f.sch
+	sch.reset()
 	for _, stmt := range tc {
 		f.fixStmt(stmt, sch)
 		// fixStmt rewrites names and expressions in place; drop any render

@@ -29,10 +29,9 @@ func New(rng *rand.Rand, lib *Library, dialect sqlt.Dialect) *Instantiator {
 }
 
 // Statement produces one statement of the requested type: a library
-// structure when available (biased toward reuse, as the paper's library
-// does), else a generated one.
+// structure when Pick hands one out, else a generated one.
 func (in *Instantiator) Statement(t sqlt.Type) sqlast.Statement {
-	if s := in.Lib.Pick(in.Rng, t); s != nil && in.Rng.Intn(4) != 0 {
+	if s := in.Lib.Pick(in.Rng, t); s != nil {
 		return s
 	}
 	return in.Gen.Gen(t)

@@ -2,6 +2,7 @@ package instantiate
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/seqfuzz/lego/internal/minidb"
@@ -70,18 +71,51 @@ SELECT * FROM t;
 		t.Fatalf("size=%d types=%d", lib.Size(), lib.TypesCovered())
 	}
 	rng := rand.New(rand.NewSource(1))
-	s := lib.Pick(rng, sqlt.Insert)
-	if s == nil || s.Type() != sqlt.Insert {
+	// The keep coin declines one draw in four; draw until one is kept.
+	kept := func() sqlast.Statement {
+		for i := 0; i < 64; i++ {
+			if s := lib.Pick(rng, sqlt.Insert); s != nil {
+				return s
+			}
+		}
+		t.Fatal("Pick declined 64 draws in a row")
+		return nil
+	}
+	s := kept()
+	if s.Type() != sqlt.Insert {
 		t.Fatalf("picked %v", s)
 	}
 	// picks are clones: mutating one must not affect the library
 	s.(*sqlast.InsertStmt).Table = "zzz"
-	s2 := lib.Pick(rng, sqlt.Insert)
+	s2 := kept()
 	if s2.(*sqlast.InsertStmt).Table == "zzz" {
 		t.Fatal("library structures must be isolated from picks")
 	}
 	if lib.Pick(rng, sqlt.Vacuum) != nil {
 		t.Fatal("missing type picks nil")
+	}
+}
+
+// TestPickDrawsIndexThenCoin pins Pick's RNG stream: the bucket index, then
+// the keep coin, so instantiation consumes exactly the draws it always has,
+// and a declined draw hands out nothing.
+func TestPickDrawsIndexThenCoin(t *testing.T) {
+	lib := NewLibrary()
+	lib.Harvest(sqlparse.MustParseScript("SELECT 1; SELECT 2; SELECT 3;"))
+	rng := rand.New(rand.NewSource(7))
+	ref := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		s := lib.Pick(rng, sqlt.Select)
+		idx, keep := ref.Intn(3), ref.Intn(4) != 0
+		if !keep {
+			if s != nil {
+				t.Fatalf("draw %d: coin declined but Pick handed out %s", i, s.SQL())
+			}
+			continue
+		}
+		if want := lib.byType[sqlt.Select][idx]; s == nil || s == want || s.SQL() != want.SQL() {
+			t.Fatalf("draw %d: Pick = %v, want a clone of %s", i, s, want.SQL())
+		}
 	}
 }
 
@@ -194,6 +228,43 @@ CLOSE nosuchcursor;
 // TestInstantiationExecutability is the integration property behind §III-B:
 // instantiated sequences must mostly execute, not just parse. We require a
 // sub-60% statement error rate over many random sequences (unfixed random
+// TestReusedFixerMatchesFreshFixer runs one Fixer, whose simulated schema is
+// emptied in place per Fix, against a fresh Fixer per test case on the same
+// RNG stream: a reset that forgot any state would repair some case
+// differently. It also checks by reflection that reset leaves every field
+// of the schema empty, so a field added later that reset forgets fails.
+func TestReusedFixerMatchesFreshFixer(t *testing.T) {
+	for _, d := range sqlt.Dialects() {
+		g := NewGenerator(rand.New(rand.NewSource(3)), d)
+		reusedRng, freshRng := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
+		reused := NewFixer(reusedRng)
+		for i := 0; i < 500; i++ {
+			tc := make(sqlast.TestCase, 6)
+			for j := range tc {
+				tc[j] = g.Gen(g.RandomType())
+			}
+			a, b := tc.Clone(), tc.Clone()
+			reused.Fix(a)
+			NewFixer(freshRng).Fix(b)
+			if a.SQL() != b.SQL() {
+				t.Fatalf("%s case %d: reused fixer diverged:\n  reused: %s\n  fresh:  %s", d, i, a.SQL(), b.SQL())
+			}
+		}
+		reused.sch.reset()
+		v := reflect.ValueOf(reused.sch).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			name, f := v.Type().Field(i).Name, v.Field(i)
+			empty := f.IsZero()
+			if f.Kind() == reflect.Map || f.Kind() == reflect.Slice {
+				empty = f.Len() == 0
+			}
+			if !empty && name != "names" { // names is a scratch buffer, refilled per call
+				t.Fatalf("%s: reset left simSchema.%s = %v", d, name, f)
+			}
+		}
+	}
+}
+
 // SQL would be far worse).
 func TestInstantiationExecutability(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

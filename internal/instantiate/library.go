@@ -26,7 +26,8 @@ func NewLibrary() *Library {
 // Harvest stores every statement of the test case, keyed by type. Stored
 // statements are canonical aliases of the harvested case, not copies: the
 // fuzz loop never mutates a statement in place (mutation always operates on
-// fresh clones), so the library only has to clone on the way out (Pick).
+// fresh clones), so the library only clones on the way out, and only the
+// structures Pick hands out.
 func (l *Library) Harvest(tc sqlast.TestCase) {
 	for _, s := range tc {
 		t := s.Type()
@@ -51,14 +52,22 @@ func (l *Library) Harvest(tc sqlast.TestCase) {
 	}
 }
 
-// Pick returns a fresh clone of a random stored structure of type t, or nil
-// when the library has none.
+// Pick draws a random stored structure of type t, then a coin that keeps it
+// three times in four (instantiation is biased toward reuse, as the paper's
+// library is), and returns a fresh clone of a kept structure. It returns nil
+// when the library holds no structure of type t or the coin declines the
+// draw; the caller then generates one. The coin comes before the clone, so
+// Pick clones only what it hands out.
 func (l *Library) Pick(rng *rand.Rand, t sqlt.Type) sqlast.Statement {
 	bucket := l.byType[t]
 	if len(bucket) == 0 {
 		return nil
 	}
-	return sqlparse.CloneStatement(bucket[rng.Intn(len(bucket))])
+	s := bucket[rng.Intn(len(bucket))]
+	if rng.Intn(4) == 0 {
+		return nil
+	}
+	return sqlparse.CloneStatement(s)
 }
 
 // Export returns the stored structures' SQL per type, in storage order, for

@@ -27,13 +27,12 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 	if st.Temp {
 		e.hit(pCreateTableTemp)
 	}
-	t := &Table{Name: st.Name, Temp: st.Temp}
-	seen := map[string]bool{}
+	t := &Table{Name: st.Name, Temp: st.Temp, Cols: make([]Column, 0, len(st.Cols))}
 	for _, cd := range st.Cols {
-		if seen[cd.Name] {
+		// t.Cols holds exactly the columns seen so far.
+		if t.colIndex(cd.Name) >= 0 {
 			return nil, errValue("duplicate column %q", cd.Name)
 		}
-		seen[cd.Name] = true
 		col := Column{
 			Name:       cd.Name,
 			TypeName:   cd.TypeName,

@@ -10,9 +10,13 @@ package sqlast
 //
 // Invariants, enforced by property tests in sqlparse:
 //   - clone renders byte-identical SQL: s.Clone().SQL() == s.SQL()
-//   - clones are deeply aliasing-free: no slice, map, or node pointer is
-//     shared between a statement and its clone, so mutating either side
-//     never changes the other
+//   - leaves are immutable and shared; every other node is copied. The
+//     leaf types Literal, ColRef and Star carry //lego:immutable, the
+//     legolint analyzer of that name rejects any write through their
+//     fields, and their Clone returns the receiver. No other slice, map or
+//     node pointer is shared between a statement and its clone, so
+//     mutating either side (which only ever writes interior nodes or
+//     replaces a leaf by a new one) never changes the other
 //   - clones start with a cold render memo (see memo.go), so a
 //     clone-then-mutate sequence can never observe a stale cached render
 //
@@ -101,23 +105,17 @@ func cloneStmt(s Statement) Statement {
 // ---------------------------------------------------------------------------
 // Expressions
 
-// Clone implements Expr.
-func (l *Literal) Clone() Expr {
-	c := *l
-	return &c
-}
+// Clone implements Expr. Literals are immutable, so the clone is the
+// receiver itself.
+func (l *Literal) Clone() Expr { return l }
 
-// Clone implements Expr.
-func (c *ColRef) Clone() Expr {
-	cc := *c
-	return &cc
-}
+// Clone implements Expr. Column references are immutable, so the clone is
+// the receiver itself.
+func (c *ColRef) Clone() Expr { return c }
 
-// Clone implements Expr.
-func (s *Star) Clone() Expr {
-	c := *s
-	return &c
-}
+// Clone implements Expr. Stars are immutable, so the clone is the receiver
+// itself.
+func (s *Star) Clone() Expr { return s }
 
 // Clone implements Expr.
 func (u *Unary) Clone() Expr {

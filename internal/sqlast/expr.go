@@ -35,6 +35,8 @@ const (
 )
 
 // Literal is a constant value.
+//
+//lego:immutable clones share it; build a new Literal instead of writing a field
 type Literal struct {
 	Kind  LitKind
 	Int   int64
@@ -78,6 +80,8 @@ func (l *Literal) SQL() string {
 }
 
 // ColRef references a column, optionally qualified by table name.
+//
+//lego:immutable clones share it; build a new ColRef instead of writing a field
 type ColRef struct {
 	Table string // optional qualifier
 	Name  string
@@ -94,6 +98,8 @@ func (c *ColRef) SQL() string {
 }
 
 // Star is the `*` (or `t.*`) projection item.
+//
+//lego:immutable clones share it; build a new Star instead of writing a field
 type Star struct {
 	Table string // optional qualifier
 }

@@ -14,7 +14,10 @@ package sqlast
 //   - Clone() never copies the memo (clone.go builds field-literal copies),
 //     so every clone starts cold. In-place mutation only ever happens on
 //     fresh clones (mutate.Mutator) or freshly instantiated cases
-//     (instantiate.Fixer), which also call InvalidateSQL explicitly.
+//     (instantiate.Fixer), which also call InvalidateSQL explicitly. It
+//     writes only the interior nodes a clone owns: the leaves a clone
+//     shares with its original (Literal, ColRef, Star; //lego:immutable)
+//     are replaced by new nodes, never written, and carry no memo.
 //   - InvalidateSQL(s) clears the memo of s and of every nested statement,
 //     descending through CTE/EXPLAIN/PREPARE/trigger bodies and through
 //     expressions that carry subqueries.

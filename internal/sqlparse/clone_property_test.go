@@ -1,13 +1,19 @@
 // Property tests for the structural clone that replaced clone-by-reparse on
 // the hot path. The contract: for every statement the fuzzer can produce,
 // the structural clone renders byte-identical SQL, agrees with the old
-// render+reparse oracle, shares no mutable memory with the original, and
-// mutating a clone never changes the original.
+// render+reparse oracle, shares no mutable memory with the original (it
+// shares exactly the immutable leaves), and mutating or fixing a clone
+// never changes the original.
 package sqlparse_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -62,67 +68,126 @@ func TestStructuralCloneMatchesReparseOnSeeds(t *testing.T) {
 	}
 }
 
-// TestStructuralCloneAliasingFree checks, by reflection walk, that a clone
-// shares no pointer, slice, or map with its original — the property that
-// makes canonical library storage and in-place mutation of clones safe.
-func TestStructuralCloneAliasingFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xA11A5))
-	g := instantiate.NewGenerator(rng, sqlt.DialectPostgres)
-	for i := 0; i < 500; i++ {
-		s := g.Gen(g.RandomType())
-		c := s.Clone()
-		assertNoSharedMemory(t, s.SQL(), reflect.ValueOf(s), reflect.ValueOf(c))
+// immutableLeaves returns the sqlast types whose declaration carries the
+// //lego:immutable directive: the leaves a clone shares with its original.
+func immutableLeaves(t *testing.T) map[reflect.Type]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	files, err := filepath.Glob(filepath.Join("..", "sqlast", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE || gd.Doc == nil {
+				continue
+			}
+			for _, c := range gd.Doc.List {
+				if c.Text == "//lego:immutable" || strings.HasPrefix(c.Text, "//lego:immutable ") {
+					names = append(names, gd.Specs[0].(*ast.TypeSpec).Name.Name)
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	if got := strings.Join(names, ","); got != "ColRef,Literal,Star" {
+		t.Fatalf("//lego:immutable types = %s, want ColRef,Literal,Star", got)
+	}
+	return map[reflect.Type]bool{
+		reflect.TypeOf(sqlast.ColRef{}):  true,
+		reflect.TypeOf(sqlast.Literal{}): true,
+		reflect.TypeOf(sqlast.Star{}):    true,
 	}
 }
 
-// assertNoSharedMemory fails if a and b reach any common mutable memory.
-// Strings are exempt (immutable backing arrays may be shared).
-func assertNoSharedMemory(t *testing.T, ctx string, a, b reflect.Value) {
+// TestStructuralCloneAliasingFree checks, by reflection walk, that a clone
+// shares no mutable memory with its original — the property that makes
+// canonical library storage and in-place mutation of clones safe. The
+// //lego:immutable leaves (Literal, ColRef, Star) are the one exemption, and
+// the walk asserts the converse for them: every leaf IS shared, so the
+// copies cannot silently come back.
+func TestStructuralCloneAliasingFree(t *testing.T) {
+	leaves := immutableLeaves(t)
+	rng := rand.New(rand.NewSource(0xA11A5))
+	g := instantiate.NewGenerator(rng, sqlt.DialectPostgres)
+	shared := 0
+	for i := 0; i < 500; i++ {
+		s := g.Gen(g.RandomType())
+		c := s.Clone()
+		shared += assertNoSharedMemory(t, s.SQL(), leaves, reflect.ValueOf(s), reflect.ValueOf(c))
+	}
+	if shared == 0 {
+		t.Fatal("no immutable leaf was reached: the walk checked nothing")
+	}
+}
+
+// assertNoSharedMemory fails if a and b reach any common mutable memory and
+// returns how many immutable leaves they share. Strings are exempt
+// (immutable backing arrays may be shared); pointers to a type in leaves
+// must be shared, not copied.
+func assertNoSharedMemory(t *testing.T, ctx string, leaves map[reflect.Type]bool, a, b reflect.Value) int {
 	t.Helper()
 	if !a.IsValid() || !b.IsValid() {
-		return
+		return 0
 	}
+	shared := 0
 	switch a.Kind() {
 	case reflect.Ptr:
 		if a.IsNil() || b.IsNil() {
-			return
+			return 0
+		}
+		if leaves[a.Type().Elem()] {
+			if a.Pointer() != b.Pointer() {
+				t.Fatalf("clone copies immutable %s instead of sharing it\nstatement: %s", a.Type(), ctx)
+			}
+			return 1
 		}
 		// Zero-size objects (e.g. CheckpointStmt{}) all live at the runtime's
 		// canonical address; identical pointers carry no shared state there.
 		if a.Type().Elem().Size() == 0 {
-			return
+			return 0
 		}
 		if a.Pointer() == b.Pointer() {
 			t.Fatalf("clone shares %s pointer with original\nstatement: %s", a.Type(), ctx)
 		}
-		assertNoSharedMemory(t, ctx, a.Elem(), b.Elem())
+		shared += assertNoSharedMemory(t, ctx, leaves, a.Elem(), b.Elem())
 	case reflect.Interface:
 		if a.IsNil() || b.IsNil() {
-			return
+			return 0
 		}
-		assertNoSharedMemory(t, ctx, a.Elem(), b.Elem())
+		shared += assertNoSharedMemory(t, ctx, leaves, a.Elem(), b.Elem())
 	case reflect.Slice:
 		if a.IsNil() || b.IsNil() || a.Len() == 0 {
-			return
+			return 0
 		}
 		if a.Pointer() == b.Pointer() {
 			t.Fatalf("clone shares %s slice with original\nstatement: %s", a.Type(), ctx)
 		}
 		for i := 0; i < a.Len() && i < b.Len(); i++ {
-			assertNoSharedMemory(t, ctx, a.Index(i), b.Index(i))
+			shared += assertNoSharedMemory(t, ctx, leaves, a.Index(i), b.Index(i))
 		}
 	case reflect.Map:
 		if a.IsNil() || b.IsNil() {
-			return
+			return 0
 		}
 		if a.Pointer() == b.Pointer() {
 			t.Fatalf("clone shares %s map with original\nstatement: %s", a.Type(), ctx)
 		}
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
-			assertNoSharedMemory(t, ctx, a.Field(i), b.Field(i))
+			shared += assertNoSharedMemory(t, ctx, leaves, a.Field(i), b.Field(i))
 		}
 	}
+	return shared
 }
 
 // TestMutatedCloneLeavesOriginalIntact applies every mutation operator to
@@ -148,6 +213,89 @@ func TestMutatedCloneLeavesOriginalIntact(t *testing.T) {
 		if after := tc.SQL(); after != before {
 			t.Fatalf("mutation %d changed the original test case:\n  before: %s\n  after:  %s", i%4, before, after)
 		}
+	}
+}
+
+// leafValues collects, in walk order, every immutable leaf reachable from v
+// together with a copy of its value.
+func leafValues(leaves map[reflect.Type]bool, v reflect.Value, out []leafValue) []leafValue {
+	switch v.Kind() {
+	case reflect.Ptr:
+		if v.IsNil() {
+			return out
+		}
+		if leaves[v.Type().Elem()] {
+			return append(out, leafValue{ptr: v.Pointer(), val: reflect.ValueOf(v.Elem().Interface())})
+		}
+		return leafValues(leaves, v.Elem(), out)
+	case reflect.Interface:
+		if !v.IsNil() {
+			return leafValues(leaves, v.Elem(), out)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			out = leafValues(leaves, v.Index(i), out)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			out = leafValues(leaves, v.Field(i), out)
+		}
+	}
+	return out
+}
+
+// leafValue is one leaf's address and a copy of its fields.
+type leafValue struct {
+	ptr uintptr
+	val reflect.Value
+}
+
+// TestSharedLeavesSurviveMutationAndFix runs every Algorithm 1 operator,
+// value mutation, and the dependency fixer on clones of generated test
+// cases, with the originals harvested into the library so instantiation
+// hands out clones that share their leaves too. Afterwards each original
+// must render the same SQL and reach the same leaves holding the same
+// values: whatever the loop writes, it never writes a shared leaf.
+func TestSharedLeavesSurviveMutationAndFix(t *testing.T) {
+	leaves := immutableLeaves(t)
+	for _, d := range sqlt.Dialects() {
+		d := d
+		t.Run(d.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(0x1EAF))
+			lib := instantiate.NewLibrary()
+			inst := instantiate.New(rng, lib, d)
+			m := mutate.New(rng, inst, d)
+			const stmts, perCase = 2000, 4
+			for i := 0; i < stmts/perCase; i++ {
+				tc := make(sqlast.TestCase, perCase)
+				for j := range tc {
+					tc[j] = inst.Gen.Gen(inst.Gen.RandomType())
+				}
+				lib.Harvest(tc)
+				before := tc.SQL()
+				vals := leafValues(leaves, reflect.ValueOf(tc), nil)
+
+				m.MutateValues(tc)
+				m.SubstituteType(tc, rng.Intn(len(tc)))
+				m.InsertAfter(tc, rng.Intn(len(tc)))
+				m.DeleteAt(tc, rng.Intn(len(tc)))
+				inst.Fixer.Fix(tc.Clone())
+
+				sqlast.InvalidateTestCase(tc)
+				if after := tc.SQL(); after != before {
+					t.Fatalf("case %d changed:\n  before: %s\n  after:  %s", i, before, after)
+				}
+				got := leafValues(leaves, reflect.ValueOf(tc), nil)
+				if len(got) != len(vals) {
+					t.Fatalf("case %d: %d leaves before, %d after", i, len(vals), len(got))
+				}
+				for k := range vals {
+					if got[k].ptr != vals[k].ptr || !reflect.DeepEqual(got[k].val.Interface(), vals[k].val.Interface()) {
+						t.Fatalf("case %d: leaf %d changed from %+v to %+v\nstatement: %s", i, k, vals[k].val, got[k].val, before)
+					}
+				}
+			}
+		})
 	}
 }
 

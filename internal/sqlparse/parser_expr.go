@@ -230,11 +230,9 @@ func (p *parser) unaryExpr() (sqlast.Expr, error) {
 		if lit, ok := x.(*sqlast.Literal); ok && t.Text == "-" {
 			switch lit.Kind {
 			case sqlast.LitInt:
-				lit.Int = -lit.Int
-				return lit, nil
+				return sqlast.IntLit(-lit.Int), nil
 			case sqlast.LitFloat:
-				lit.Float = -lit.Float
-				return lit, nil
+				return sqlast.FloatLit(-lit.Float), nil
 			}
 		}
 		if t.Text == "+" {
