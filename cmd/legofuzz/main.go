@@ -12,11 +12,11 @@
 //	legofuzz -target mariadb -workers 4        # sharded, still deterministic
 //	legofuzz -target mariadb -workers 4 -chaos-rate 0.05   # supervised chaos
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: the campaign stops at the next
-// iteration boundary (the next epoch barrier when -workers > 1), flushes a
-// final checkpoint (when -checkpoint is set),
-// triages what was found (when -triage is set), prints the partial report,
-// and exits 0. A second signal kills the process immediately.
+// SIGINT/SIGTERM trigger a graceful shutdown: the campaign finishes the
+// current epoch, stops at its barrier, flushes a final checkpoint (when
+// -checkpoint is set), triages what was found (when -triage is set), prints
+// the partial report, and exits 0. A second signal kills the process
+// immediately.
 package main
 
 import (
@@ -50,7 +50,7 @@ func main() {
 	repros := flag.Bool("repros", false, "print the reproducer SQL of every bug found")
 	faultRate := flag.Float64("fault-rate", 0, "per-statement organic fault-injection probability (containment demo)")
 	workers := flag.Int("workers", 1, "parallel fuzzing shards; results are deterministic per (seed, workers, epoch-stmts)")
-	epochStmts := flag.Int("epoch-stmts", 0, "per-shard statements between merge barriers (0 = default 2000; only with -workers > 1)")
+	epochStmts := flag.Int("epoch-stmts", 0, "per-shard statements between merge barriers (0 = default 2000)")
 	chaosRate := flag.Float64("chaos-rate", 0, "deterministic chaos plane: per-decision probability of injected worker panics, epoch stalls, and checkpoint I/O faults (0 disables)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "fault-schedule seed (0 = -seed); campaigns are deterministic per (chaos-rate, chaos-seed)")
 	maxRetries := flag.Int("max-epoch-retries", 0, "per-shard epoch-retry budget before quarantine (0 = default 3, negative = quarantine on first failure)")
@@ -116,7 +116,7 @@ func main() {
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM closes the stop channel
-	// and the run loop winds down at the next iteration boundary; restoring
+	// and the campaign winds down at the next epoch barrier; restoring
 	// default signal handling afterwards lets a second signal kill a stuck
 	// process the usual way.
 	stop := make(chan struct{})
@@ -124,7 +124,7 @@ func main() {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		sig := <-sigc
-		fmt.Fprintf(os.Stderr, "\n%v: finishing the current iteration, then stopping (repeat to kill)\n", sig)
+		fmt.Fprintf(os.Stderr, "\n%v: finishing the current epoch, then stopping (repeat to kill)\n", sig)
 		close(stop)
 		signal.Stop(sigc)
 	}()

@@ -112,9 +112,9 @@ func TestFacadeShardedDoubleRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestFacadeWorkersOneIsSingleThreaded: Workers <= 1 must not change
-// anything — it takes the exact single-threaded code path, so its report
-// and checkpoint are identical to a Config that never mentions Workers.
+// TestFacadeWorkersOneIsSingleThreaded: Workers 0 ≡ Workers 1 — a Config
+// that never mentions Workers runs the same one-worker campaign, so its
+// report and checkpoint bytes are identical to an explicit Workers: 1.
 func TestFacadeWorkersOneIsSingleThreaded(t *testing.T) {
 	run := func(workers int) (lego.Report, []byte) {
 		path := filepath.Join(t.TempDir(), "camp.ckpt")

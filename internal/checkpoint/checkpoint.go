@@ -37,7 +37,9 @@ import (
 //	v5 — engine faults become keyed chaos-plane decisions, so the fault
 //	     injector's stream position is no longer saved: a v4 file saved
 //	     under fault injection cannot resume on the keyed schedule.
-const Version = 5
+//	v6 — every campaign saves the nested layout: one-worker campaigns
+//	     write workers, epoch_stmts and one shard state too.
+const Version = 6
 
 // BackupSuffix is appended to the checkpoint path for the rotated last-good
 // copy that Save leaves behind and LoadWithFallback falls back to.
@@ -143,12 +145,12 @@ type State struct {
 	// campaign like Seed does — resuming under a different topology would
 	// change every epoch boundary — and Epoch counts the merge barriers
 	// passed. Shards holds one complete per-worker state in shard-index
-	// order; when it is empty the checkpoint is a single-shard campaign and
-	// the worker's state lives at the top level. In a sharded checkpoint the
-	// top-level Execs/Stmts/EnginePanics are totals across shards, Curve is
-	// the global (barrier-sampled) curve, and Crashes is the merged global
-	// oracle including triage results; the remaining top-level campaign
-	// fields are unused.
+	// order, one entry for a one-worker campaign; a per-worker state itself
+	// has no Shards. In a campaign checkpoint the top-level
+	// Execs/Stmts/EnginePanics are totals across shards, Curve is the global
+	// (barrier-sampled) curve, and Crashes is the merged global oracle
+	// including triage results; the remaining top-level campaign fields are
+	// unused.
 	Workers    int      `json:"workers,omitempty"`
 	EpochStmts int      `json:"epoch_stmts,omitempty"`
 	Epoch      int      `json:"epoch,omitempty"`

@@ -17,10 +17,9 @@ import (
 )
 
 // This file converts live campaign state to and from checkpoint.State.
-// Snapshot must be taken at a Step boundary (RunWithOptions only
-// checkpoints between iterations): everything the fuzzing loop reads — pool,
-// library, affinities, synthesizer, coverage, oracle, counters, and the RNG
-// stream position — is captured, so a Resume'd campaign replays the exact
+// Snapshot must be taken between Run calls, never inside Step: everything
+// the fuzzing loop reads — pool, library, affinities, synthesizer, coverage,
+// oracle, counters, and the RNG stream position — is captured, so a Resume'd campaign replays the exact
 // schedule the uninterrupted campaign would have run.
 
 // Snapshot serializes the fuzzer's complete campaign state.
@@ -137,70 +136,6 @@ func Resume(opts Options, st *checkpoint.State) (*Fuzzer, error) {
 		f.pending = append(f.pending, affinity.Pair{From: sqlt.Type(p[0]), To: sqlt.Type(p[1])})
 	}
 	return f, nil
-}
-
-// RunOptions configures one RunWithOptions campaign leg.
-type RunOptions struct {
-	// EveryExecs is the checkpoint cadence in test-case executions; Save is
-	// additionally called once when the leg ends. Zero (with a nil Save)
-	// disables checkpointing.
-	EveryExecs int
-	// Save persists a snapshot; a non-nil error aborts the leg.
-	Save func(*checkpoint.State) error
-	// Stop requests a graceful shutdown: once the channel is closed, the
-	// leg finishes the fuzzing iteration in flight, stops at the iteration
-	// boundary, takes its final snapshot, and returns with interrupted =
-	// true. The boundary matters: mid-iteration state (a partially drained
-	// synthesis queue, RNG draws already spent on an unfinished mutation
-	// round) is a state an uninterrupted campaign never pauses in, so
-	// stopping there would make the resumed schedule diverge from the
-	// uninterrupted one. Iteration boundaries are exactly the states an
-	// uninterrupted campaign also passes through. A nil channel never
-	// stops.
-	Stop <-chan struct{}
-}
-
-// RunWithOptions is the full-featured campaign loop behind Run: it drives
-// the fuzzer until the statement budget is consumed or opts.Stop is closed,
-// checkpointing on the configured cadence and once at the end. Snapshots
-// are taken only at iteration boundaries, where campaign state is fully
-// consistent. interrupted reports that the leg ended on the stop
-// channel with budget left — the caller can tell a completed campaign from
-// a gracefully shut-down one.
-func (f *Fuzzer) RunWithOptions(budgetStmts int, opts RunOptions) (runner *harness.Runner, interrupted bool, err error) {
-	stopped := func() bool {
-		if opts.Stop == nil {
-			return false
-		}
-		select {
-		case <-opts.Stop:
-			return true
-		default:
-			return false
-		}
-	}
-	// Step receives only the budget predicate: the budget may run out
-	// mid-iteration (that is where the campaign ends, so any state is
-	// final), but the stop channel is polled strictly between iterations —
-	// see RunOptions.Stop for why.
-	exhausted := func() bool { return f.runner.Stmts >= budgetStmts }
-	lastSaved := f.runner.Execs
-	for !exhausted() && !stopped() {
-		f.Step(exhausted)
-		if opts.Save != nil && opts.EveryExecs > 0 && f.runner.Execs-lastSaved >= opts.EveryExecs {
-			if err := opts.Save(f.Snapshot()); err != nil {
-				return f.runner, false, err
-			}
-			lastSaved = f.runner.Execs
-		}
-	}
-	interrupted = f.runner.Stmts < budgetStmts && stopped()
-	if opts.Save != nil {
-		if err := opts.Save(f.Snapshot()); err != nil {
-			return f.runner, interrupted, err
-		}
-	}
-	return f.runner, interrupted, nil
 }
 
 // Triage runs the crash triage pipeline over the campaign oracle: every

@@ -320,8 +320,32 @@ func (f *Fuzzer) randomSequences(n int) []sqlt.Sequence {
 }
 
 // Run drives the fuzzer until the statement budget is consumed and returns
-// the campaign's runner for metric collection.
+// the campaign's runner for metric collection. The budget may run out
+// mid-iteration; the abandoned rest of that iteration is never resumed.
 func (f *Fuzzer) Run(budgetStmts int) *harness.Runner {
-	runner, _, _ := f.RunWithOptions(budgetStmts, RunOptions{})
-	return runner
+	return f.RunLeg(budgetStmts, budgetStmts)
+}
+
+// RunLeg runs whole fuzzing iterations until at least legStmts statements
+// have run; only the campaign budget budgetStmts (>= legStmts) cuts an
+// iteration short. A leg therefore ends at an iteration boundary, a state
+// Run(budgetStmts) also passes through, so a campaign run in legs is
+// exactly Run(budgetStmts) however its legs are cut.
+func (f *Fuzzer) RunLeg(legStmts, budgetStmts int) *harness.Runner {
+	exhausted := func() bool { return f.runner.Stmts >= budgetStmts }
+	for f.runner.Stmts < legStmts && !exhausted() {
+		f.Step(exhausted)
+	}
+	return f.runner
+}
+
+// RunOptions is the option set of RunWithOptions. It has no fields: the
+// sharded executor owns checkpointing and shutdown.
+type RunOptions struct{}
+
+// RunWithOptions is Run under its former signature, kept for the campaign
+// benchmark (perfbench), which is built against it; it never interrupts and
+// never fails.
+func (f *Fuzzer) RunWithOptions(budgetStmts int, _ RunOptions) (runner *harness.Runner, interrupted bool, err error) {
+	return f.Run(budgetStmts), false, nil
 }

@@ -90,26 +90,6 @@ func TestResumeRejectsMismatchedCampaign(t *testing.T) {
 	}
 }
 
-// TestRunWithCheckpointSavesPeriodically verifies the save cadence and that
-// the file left behind is always loadable.
-func TestRunWithCheckpointSavesPeriodically(t *testing.T) {
-	f := New(Options{Dialect: sqlt.DialectPostgres, Seed: 4})
-	saves := 0
-	_, _, err := f.RunWithOptions(6000, RunOptions{EveryExecs: 100, Save: func(st *checkpoint.State) error {
-		saves++
-		if st.Execs == 0 {
-			t.Fatal("snapshot with zero execs")
-		}
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if saves < 2 {
-		t.Fatalf("expected periodic saves plus a final one, got %d", saves)
-	}
-}
-
 // TestFaultInjectedCampaignSurvives is the acceptance test for containment:
 // a full-budget campaign against an engine that keeps panicking organically
 // must complete (no fuzzer death), count its contained panics, and surface

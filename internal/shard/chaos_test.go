@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -220,6 +221,29 @@ func TestOrganicPanicRetriedAndJournaled(t *testing.T) {
 	a, b := mustJSON(t, got), mustJSON(t, want)
 	if a != b {
 		t.Fatalf("retried campaign diverged from clean run\nretried: %.400s\nclean:   %.400s", a, b)
+	}
+}
+
+// TestUnsupervisedPanicPropagates: with supervision disarmed no barrier
+// snapshot exists to re-run a failed epoch from, so a worker must not
+// contain a panic — it reaches the caller (in a campaign, it crashes the
+// process) with its own value and stack, not a restore error. Armed, the
+// same panic becomes an organic-panic failure.
+func TestUnsupervisedPanicPropagates(t *testing.T) {
+	e := New(testOptions(1))
+	e.shards[0] = nil // the worker's first use of its fuzzer panics
+	rec := func() (rec any) {
+		defer func() { rec = recover() }()
+		e.runWorker(0, 500, 500, plan{})
+		return nil
+	}()
+	if err, ok := rec.(runtime.Error); !ok || !strings.Contains(err.Error(), "nil pointer") {
+		t.Fatalf("unsupervised worker panic: got %v, want the original nil dereference", rec)
+	}
+
+	e.testFault = func(epoch, shard, attempt int) {}
+	if fail := e.runWorker(0, 500, 500, plan{}); fail == nil || fail.kind != harness.IncidentOrganicPanic {
+		t.Fatalf("supervised worker panic: got %+v, want an organic-panic failure", fail)
 	}
 }
 

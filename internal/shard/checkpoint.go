@@ -63,20 +63,17 @@ func (e *Executor) Snapshot() *checkpoint.State {
 // Resume rebuilds a sharded campaign from a checkpoint. The topology
 // (Workers, EpochStmts) is part of the campaign's identity — resuming under
 // a different one would move every epoch barrier — so mismatches fail
-// loudly, like core.Resume does for seed and dialect.
-//
-// A single-shard checkpoint (written by the unsharded path) resumes as a
-// one-worker campaign: the top-level state is the worker.
+// loudly, like core.Resume does for seed and dialect. Every campaign
+// checkpoint nests one state per shard, a one-worker campaign included; a
+// flat state without shards is a worker state, not a campaign, and is
+// rejected.
 func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 	opts.fill()
-	stWorkers := st.Workers
-	if stWorkers == 0 {
-		stWorkers = 1 // single-shard checkpoints omit the field
+	if st.Workers != opts.Workers || len(st.Shards) != st.Workers {
+		return nil, fmt.Errorf("shard: resume: checkpoint has %d workers (%d shard states), options request %d",
+			st.Workers, len(st.Shards), opts.Workers)
 	}
-	if stWorkers != opts.Workers {
-		return nil, fmt.Errorf("shard: resume: checkpoint has %d workers, options request %d", stWorkers, opts.Workers)
-	}
-	if st.Workers != 0 && st.EpochStmts != opts.EpochStmts {
+	if st.EpochStmts != opts.EpochStmts {
 		return nil, fmt.Errorf("shard: resume: checkpoint epoch budget is %d statements, options request %d", st.EpochStmts, opts.EpochStmts)
 	}
 	// The chaos identity is campaign identity: the fault schedule shapes the
@@ -97,30 +94,14 @@ func Resume(opts Options, st *checkpoint.State) (*Executor, error) {
 	e.retries = make([]int, opts.Workers)
 	e.quarantined = make([]bool, opts.Workers)
 	e.incidents = st.Incidents
-	if len(st.Shards) == 0 {
-		// Single-shard: the worker state lives at the top level. Fast-forward
-		// the epoch counter past the statements already executed so the
-		// first new epoch is not a ladder of empty barriers.
-		f, err := core.Resume(opts.Core, st)
+	for i, ss := range st.Shards {
+		f, err := core.Resume(e.coreOpts(i), ss)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shard: resume shard %d: %w", i, err)
 		}
-		e.shards = []*core.Fuzzer{f}
-		if st.Workers == 0 {
-			e.epoch = st.Stmts / opts.EpochStmts
-		}
-		e.quarantined[0] = st.Quarantined
-		e.retries[0] = st.Retries
-	} else {
-		for i, ss := range st.Shards {
-			f, err := core.Resume(e.coreOpts(i), ss)
-			if err != nil {
-				return nil, fmt.Errorf("shard: resume shard %d: %w", i, err)
-			}
-			e.shards = append(e.shards, f)
-			e.quarantined[i] = ss.Quarantined
-			e.retries[i] = ss.Retries
-		}
+		e.shards = append(e.shards, f)
+		e.quarantined[i] = ss.Quarantined
+		e.retries[i] = ss.Retries
 	}
 
 	// Snapshots are taken post-barrier, so every shard's pool deltas have

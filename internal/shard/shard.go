@@ -13,8 +13,10 @@
 // goroutine scheduler can interleave them arbitrarily without affecting any
 // shard's schedule.
 //
-// Every EpochStmts statements of per-shard budget, all shards stop at an
-// epoch barrier and the coordinator merges them in fixed shard-index order:
+// Every EpochStmts statements of per-shard budget (a lone, unsupervised
+// shard runs on to the end of its fuzzing iteration; see runWorker), all
+// shards stop at an epoch barrier and the coordinator merges them in fixed
+// shard-index order:
 //
 //   - coverage maps OR-fold into a global virgin map, which then folds back
 //     into every shard, so no worker re-explores territory a sibling owns;
@@ -123,7 +125,8 @@ type Executor struct {
 	curve  []harness.CurvePoint
 
 	// epoch counts the barriers passed; shard i's next barrier sits at
-	// min(target_i, (epoch+1)*EpochStmts) statements.
+	// min(target_i, (epoch+1)*EpochStmts) statements (a lone shard runs on
+	// from there to the end of its fuzzing iteration).
 	epoch int
 	// poolMark[i] is shard i's pool size at the last barrier; everything
 	// after it is the delta donated to peers at the next one.
@@ -200,8 +203,8 @@ func (e *Executor) coreOpts(i int) core.Options {
 	return co
 }
 
-// RunOptions configures one Run leg, mirroring core.RunOptions at epoch
-// granularity.
+// RunOptions configures one Run leg. Checkpointing and shutdown act only at
+// epoch barriers.
 type RunOptions struct {
 	// EveryExecs is the checkpoint cadence in total (cross-shard) test-case
 	// executions; Save also runs once when the leg ends. Checkpoints are
@@ -241,7 +244,7 @@ func (e *Executor) Run(budgetStmts int, opts RunOptions) (interrupted bool, err 
 		e.epoch++
 		e.mergeBarrier()
 		if opts.Save != nil && opts.EveryExecs > 0 && e.Execs()-lastSaved >= opts.EveryExecs {
-			if err := e.save(opts.Save); err != nil {
+			if err := e.Save(opts.Save); err != nil {
 				return false, err
 			}
 			lastSaved = e.Execs()
@@ -249,20 +252,22 @@ func (e *Executor) Run(budgetStmts int, opts RunOptions) (interrupted bool, err 
 	}
 	interrupted = !e.done(targets) && stopped()
 	if opts.Save != nil {
-		if err := e.save(opts.Save); err != nil {
+		if err := e.Save(opts.Save); err != nil {
 			return interrupted, err
 		}
 	}
 	return interrupted, nil
 }
 
-// save runs one checkpoint save, absorbing chaos-injected I/O faults: a
+// Save runs one checkpoint save, absorbing chaos-injected I/O faults: a
 // scheduled fault means the disk ate this generation (the previous one is
 // still on disk for LoadWithFallback), not that the campaign is broken, so
 // the campaign continues and only the fault tally grows. A chaotic
 // filesystem changes what lands on disk, never what the campaign computes.
-// Real save errors still abort the leg.
-func (e *Executor) save(save func(*checkpoint.State) error) error {
+// Real save errors are returned. Run saves through it, and so should any
+// save taken between Run legs (such as the flush after triage), so that
+// SaveFaults counts every eaten generation.
+func (e *Executor) Save(save func(*checkpoint.State) error) error {
 	if err := save(e.Snapshot()); err != nil {
 		if errors.Is(err, chaos.ErrInjected) {
 			e.saveFaults++
@@ -531,8 +536,8 @@ func (e *Executor) ActiveWorkers() int {
 	return n
 }
 
-// SaveFaults returns how many checkpoint saves were eaten by injected I/O
-// faults (and skipped) during Run legs.
+// SaveFaults returns how many checkpoint saves made through Save were eaten
+// by injected I/O faults (and skipped).
 func (e *Executor) SaveFaults() int { return e.saveFaults }
 
 // FS returns the filesystem checkpoint saves should be routed through: the

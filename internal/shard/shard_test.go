@@ -110,57 +110,92 @@ func TestBarrierInvariants(t *testing.T) {
 // and resumed from its checkpoint (through a real file round trip) must
 // finish in exactly the state of the campaign that was never interrupted,
 // because barriers are states uninterrupted campaigns also pass through.
+// A stop channel closed before Run starts stops the leg before any
+// statement runs, and the final flush still happens.
 func TestShardedStopResumeEquivalence(t *testing.T) {
-	const budget = 8000
-	ref := New(testOptions(2))
-	if _, err := ref.Run(budget, RunOptions{}); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		workers int
+		// budget is longer for one worker, whose barriers land on iteration
+		// boundaries: its first iteration alone can run 10k statements.
+		budget int
+		// stopAt closes the stop channel from the first save taken at or
+		// after this epoch; a negative value closes it before Run starts.
+		stopAt int
+	}{
+		{"workers-1", 1, 30000, 2},
+		{"workers-3", 3, 8000, 2},
+		{"workers-1-pre-closed", 1, 30000, -1},
+		{"workers-3-pre-closed", 3, 8000, -1},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := New(testOptions(tc.workers))
+			if _, err := ref.Run(tc.budget, RunOptions{}); err != nil {
+				t.Fatal(err)
+			}
 
-	interrupted := New(testOptions(2))
-	stop := make(chan struct{})
-	closed := false
-	wasStopped, err := interrupted.Run(budget, RunOptions{
-		EveryExecs: 1, // checkpoint at every barrier
-		Save: func(st *checkpoint.State) error {
-			if !closed && interrupted.Epoch() >= 2 {
-				closed = true
+			interrupted := New(testOptions(tc.workers))
+			before := interrupted.Stmts()
+			stop := make(chan struct{})
+			if tc.stopAt < 0 {
 				close(stop)
 			}
-			return nil
-		},
-		Stop: stop,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wasStopped {
-		t.Fatal("campaign ran to completion before the stop request landed")
-	}
+			closed := tc.stopAt < 0
+			var last *checkpoint.State
+			saves := 0
+			wasStopped, err := interrupted.Run(tc.budget, RunOptions{
+				EveryExecs: 1, // checkpoint at every barrier
+				Save: func(st *checkpoint.State) error {
+					saves++
+					last = st
+					if !closed && interrupted.Epoch() >= tc.stopAt {
+						closed = true
+						close(stop)
+					}
+					return nil
+				},
+				Stop: stop,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !wasStopped {
+				t.Fatal("campaign ran to completion before the stop request landed")
+			}
+			if last == nil || last.Stmts != interrupted.Stmts() {
+				t.Fatalf("final flush missing or stale after %d saves", saves)
+			}
+			if tc.stopAt < 0 && (saves != 1 || interrupted.Stmts() != before) {
+				t.Fatalf("pre-closed stop: %d saves and %d statements run, want only the final flush and none",
+					saves, interrupted.Stmts()-before)
+			}
 
-	path := t.TempDir() + "/sharded.ckpt"
-	if err := checkpoint.Save(path, interrupted.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := checkpoint.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Resume(testOptions(2), loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Execs() != interrupted.Execs() || resumed.Epoch() != interrupted.Epoch() {
-		t.Fatalf("restored campaign at execs=%d epoch=%d, want execs=%d epoch=%d",
-			resumed.Execs(), resumed.Epoch(), interrupted.Execs(), interrupted.Epoch())
-	}
-	if _, err := resumed.Run(budget, RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
+			path := t.TempDir() + "/sharded.ckpt"
+			if err := checkpoint.Save(path, last); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := checkpoint.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := Resume(testOptions(tc.workers), loaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Execs() != interrupted.Execs() || resumed.Epoch() != interrupted.Epoch() {
+				t.Fatalf("restored campaign at execs=%d epoch=%d, want execs=%d epoch=%d",
+					resumed.Execs(), resumed.Epoch(), interrupted.Execs(), interrupted.Epoch())
+			}
+			if _, err := resumed.Run(tc.budget, RunOptions{}); err != nil {
+				t.Fatal(err)
+			}
 
-	a, b := snapshotJSON(t, ref), snapshotJSON(t, resumed)
-	if string(a) != string(b) {
-		t.Fatalf("resumed sharded campaign diverged from uninterrupted run\nref:     %.400s\nresumed: %.400s", a, b)
+			a, b := snapshotJSON(t, ref), snapshotJSON(t, resumed)
+			if string(a) != string(b) {
+				t.Fatalf("resumed campaign diverged from uninterrupted run\nref:     %.400s\nresumed: %.400s", a, b)
+			}
+		})
 	}
 }
 
@@ -182,33 +217,6 @@ func TestResumeRejectsMismatchedTopology(t *testing.T) {
 	wrongEpoch.EpochStmts = 999
 	if _, err := Resume(wrongEpoch, st); err == nil || !strings.Contains(err.Error(), "epoch") {
 		t.Fatalf("resume with wrong epoch budget: got %v, want epoch mismatch error", err)
-	}
-}
-
-// TestSingleShardCheckpointResumes: a checkpoint written by the plain
-// single-threaded path (no topology fields — the v2 layout) resumes as a
-// one-worker sharded campaign, and refuses to fan out into more workers.
-func TestSingleShardCheckpointResumes(t *testing.T) {
-	opts := testOptions(1)
-	f := core.New(opts.Core)
-	f.Run(3000)
-	st := f.Snapshot()
-
-	e, err := Resume(opts, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Workers() != 1 || e.Execs() != f.Runner().Execs {
-		t.Fatalf("single-shard resume: workers=%d execs=%d, want 1 worker at execs=%d",
-			e.Workers(), e.Execs(), f.Runner().Execs)
-	}
-	// The epoch counter fast-forwards past the executed statements so the
-	// next epoch is not a ladder of empty barriers.
-	if want := f.Runner().Stmts / opts.EpochStmts; e.Epoch() != want {
-		t.Fatalf("fast-forwarded epoch = %d, want %d", e.Epoch(), want)
-	}
-	if _, err := Resume(testOptions(4), st); err == nil {
-		t.Fatal("resuming a single-shard checkpoint as 4 workers must fail")
 	}
 }
 

@@ -87,8 +87,8 @@ func (e *Executor) runEpoch(targets []int) {
 		// its barrier snapshot, so its statement count is back below the
 		// boundary and it re-enters here with a bumped attempt.
 		type job struct {
-			shard, budget int
-			p             plan
+			shard, budget, target int
+			p                     plan
 		}
 		var jobs []job
 		for i, sh := range e.shards {
@@ -102,7 +102,7 @@ func (e *Executor) runEpoch(targets []int) {
 			if sh.Runner().Stmts >= budget {
 				continue
 			}
-			jobs = append(jobs, job{i, budget, e.plan(e.epoch, i, attempts[i])})
+			jobs = append(jobs, job{i, budget, targets[i], e.plan(e.epoch, i, attempts[i])})
 		}
 		if len(jobs) == 0 {
 			return
@@ -117,7 +117,7 @@ func (e *Executor) runEpoch(targets []int) {
 			wg.Add(1)
 			go func(j job) {
 				defer wg.Done()
-				failures[j.shard] = e.runWorker(j.shard, j.budget, j.p)
+				failures[j.shard] = e.runWorker(j.shard, j.budget, j.target, j.p)
 			}(j)
 		}
 		wg.Wait()
@@ -146,9 +146,12 @@ func (e *Executor) runEpoch(targets []int) {
 	}
 }
 
-// runWorker runs shard i to its epoch budget on the worker goroutine,
-// executing the chaos plan and containing every panic — injected or organic
-// — as a structured failure instead of a dead process.
+// runWorker runs shard i to its epoch budget on the worker goroutine
+// (target is its campaign budget), executing the chaos plan and, under
+// supervision, containing every panic — injected or organic — as a
+// structured failure instead of a dead process. Unsupervised, nothing could
+// restore a failed epoch, so a panic is left to crash the process with its
+// own value and stack.
 //
 // Injected failures are deterministic prefixes: a scheduled panic runs the
 // worker to panicFrac of its remaining epoch budget and then panics with
@@ -156,9 +159,12 @@ func (e *Executor) runEpoch(targets []int) {
 // stallFrac, modeling a worker that stops making progress, and reports the
 // stall the supervisor's step watchdog would raise at the barrier. Both
 // leave the shard mid-epoch — exactly the partial state a restore discards.
-func (e *Executor) runWorker(i, budget int, p plan) (fail *workerFailure) {
+func (e *Executor) runWorker(i, budget, target int, p plan) (fail *workerFailure) {
 	sh := e.shards[i]
 	defer func() {
+		if !e.supervised() {
+			return
+		}
 		rec := recover()
 		if rec == nil {
 			return
@@ -188,20 +194,29 @@ func (e *Executor) runWorker(i, budget int, p plan) (fail *workerFailure) {
 	switch {
 	case p.panicFire:
 		at := start + int(p.panicFrac*float64(span))
-		_, _, _ = sh.RunWithOptions(at, core.RunOptions{})
+		sh.Run(at)
 		panic(chaos.InjectedPanic{Epoch: e.epoch, Shard: i, Attempt: p.attempt})
 	case p.stallFire:
 		at := start + int(p.stallFrac*float64(span))
-		_, _, _ = sh.RunWithOptions(at, core.RunOptions{})
+		sh.Run(at)
 		return &workerFailure{
 			kind: harness.IncidentEpochStall,
 			detail: fmt.Sprintf("chaos: injected epoch stall (epoch %d, shard %d, attempt %d)",
 				e.epoch, i, p.attempt),
 		}
+	case len(e.shards) == 1 && !e.supervised():
+		// A lone worker has no peer whose discoveries it must wait for, so
+		// its epoch runs on to the next iteration boundary: barriers then
+		// land only on states the continuous loop passes through, and the
+		// campaign is core.Run(target) whatever EpochStmts, stop or
+		// checkpoint cadence cut its epochs. Under supervision epochs keep
+		// their exact budgets: they are the unit the chaos plane keys its
+		// faults on and a failed worker re-runs.
+		sh.RunLeg(budget, target)
 	default:
-		// No save, no stop: checkpointing and shutdown are barrier-level
-		// concerns. RunWithOptions can only fail through Save.
-		_, _, _ = sh.RunWithOptions(budget, core.RunOptions{})
+		// Checkpointing and shutdown are barrier-level concerns: a worker
+		// only runs the fuzzing loop to its epoch budget.
+		sh.Run(budget)
 	}
 	return nil
 }

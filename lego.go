@@ -23,13 +23,10 @@
 package lego
 
 import (
-	"errors"
 	"fmt"
 
-	"github.com/seqfuzz/lego/internal/chaos"
 	"github.com/seqfuzz/lego/internal/checkpoint"
 	"github.com/seqfuzz/lego/internal/core"
-	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/oracle"
 	"github.com/seqfuzz/lego/internal/shard"
@@ -93,23 +90,22 @@ type Config struct {
 	// epoch barriers: coverage OR-folds, seeds and affinities and crashes
 	// cross-pollinate, all in fixed shard order. The report and checkpoint
 	// depend only on (Config, Workers, EpochStmts), never on goroutine
-	// scheduling. Workers <= 1 (the default) uses the single-threaded path
-	// unchanged.
+	// scheduling. Workers below 1 (the default 0) means one worker, whose
+	// campaign is the plain single-threaded fuzzing loop: its epochs end on
+	// iteration boundaries, so EpochStmts does not change its results.
 	Workers int
 	// EpochStmts is the per-shard statement budget between merge barriers
-	// (default 2000). Like Seed, it is part of a sharded campaign's
-	// identity: a checkpoint only resumes under the same value. Ignored
-	// when Workers <= 1.
+	// (default 2000). Like Seed, it is part of a campaign's identity: a
+	// checkpoint only resumes under the same value.
 	EpochStmts int
-	// ChaosRate arms the deterministic chaos plane on the supervised
-	// (sharded) path: worker panics, epoch stalls, and checkpoint I/O
-	// faults are injected with this per-decision probability, on a schedule
-	// that is a pure function of (ChaosRate, ChaosSeed). Failed epochs are
-	// retried from the last barrier snapshot; shards that exhaust
-	// MaxEpochRetries are quarantined and the campaign degrades gracefully.
-	// Setting ChaosRate forces the supervised executor even with one
-	// worker. Zero (the default) injects nothing and leaves reports and
-	// checkpoints byte-identical to an unsupervised session.
+	// ChaosRate arms the deterministic chaos plane: worker panics, epoch
+	// stalls, and checkpoint I/O faults are injected with this
+	// per-decision probability, on a schedule that is a pure function of
+	// (ChaosRate, ChaosSeed). Failed epochs are retried from the last
+	// barrier snapshot; shards that exhaust MaxEpochRetries are quarantined
+	// and the campaign degrades gracefully. Zero (the default) injects
+	// nothing and leaves reports and checkpoints byte-identical to an
+	// unsupervised session.
 	ChaosRate float64
 	// ChaosSeed selects the fault schedule (default: Seed). Like Seed it is
 	// campaign identity: a chaotic checkpoint only resumes under the same
@@ -178,8 +174,7 @@ type Report struct {
 	// Bugs lists the unique crashes found, in discovery order.
 	Bugs []Bug
 
-	// Workers is the campaign's starting worker topology (1 on the
-	// single-threaded path).
+	// Workers is the campaign's starting worker topology (at least 1).
 	Workers int
 	// Quarantined lists the shards whose retry budget was exhausted; the
 	// campaign finished degraded to Workers-len(Quarantined) workers.
@@ -212,37 +207,28 @@ type Incident struct {
 	Detail string
 }
 
-// Fuzzer is a LEGO fuzzing session against one target. Exactly one of
-// inner (single-threaded) and sharded (Workers > 1) is set.
+// Fuzzer is a LEGO fuzzing session against one target. Every session runs
+// on the sharded executor; a single-worker session is its one-shard case.
 type Fuzzer struct {
-	inner   *core.Fuzzer
-	sharded *shard.Executor
-	cfg     Config
+	ex  *shard.Executor
+	cfg Config
 	// resumeWarning is set when ResumeFuzzer had to fall back to the
 	// rotated .bak checkpoint generation.
 	resumeWarning string
 }
 
-func (cfg Config) options() core.Options {
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return core.Options{
-		Dialect:                   cfg.Target,
-		Seed:                      seed,
-		MaxLen:                    cfg.MaxSequenceLength,
-		DisableSequenceAlgorithms: cfg.DisableSequenceAlgorithms,
-		Hazards:                   !cfg.DisableHazards,
-		SplitLongSeeds:            cfg.SplitLongSeeds,
-		FaultRate:                 cfg.FaultRate,
-		DisablePlanCache:          cfg.DisablePlanCache,
-	}
-}
-
-func (cfg Config) shardOptions() shard.Options {
+func (cfg Config) options() shard.Options {
 	return shard.Options{
-		Core:            cfg.options(),
+		Core: core.Options{
+			Dialect:                   cfg.Target,
+			Seed:                      cfg.Seed,
+			MaxLen:                    cfg.MaxSequenceLength,
+			DisableSequenceAlgorithms: cfg.DisableSequenceAlgorithms,
+			Hazards:                   !cfg.DisableHazards,
+			SplitLongSeeds:            cfg.SplitLongSeeds,
+			FaultRate:                 cfg.FaultRate,
+			DisablePlanCache:          cfg.DisablePlanCache,
+		},
 		Workers:         cfg.Workers,
 		EpochStmts:      cfg.EpochStmts,
 		ChaosRate:       cfg.ChaosRate,
@@ -251,45 +237,29 @@ func (cfg Config) shardOptions() shard.Options {
 	}
 }
 
-// NewFuzzer builds a fuzzing session. Parallel campaigns (Workers > 1) and
-// chaotic ones (ChaosRate > 0, any worker count) run on the supervised
-// sharded executor; everything else uses the single-threaded path.
+// NewFuzzer builds a fuzzing session on the sharded executor,
+// with Workers below 1 taken as one worker.
 func NewFuzzer(cfg Config) *Fuzzer {
-	if cfg.Workers > 1 || cfg.ChaosRate > 0 {
-		return &Fuzzer{sharded: shard.New(cfg.shardOptions()), cfg: cfg}
-	}
-	return &Fuzzer{inner: core.New(cfg.options()), cfg: cfg}
+	return &Fuzzer{ex: shard.New(cfg.options()), cfg: cfg}
 }
 
 // ResumeFuzzer rebuilds a fuzzing session from a checkpoint file written by
 // FuzzWithCheckpoint. cfg must describe the same campaign (target, seed,
-// sequence length); the restored session continues exactly where the
-// checkpoint left off, with the same schedule and discoveries as an
-// uninterrupted run. When the primary checkpoint is corrupt or truncated,
-// the rotated last-good <path>.bak generation is used instead and
-// ResumeWarning reports the substitution.
+// sequence length, worker topology, chaos schedule); the restored session
+// continues exactly where the checkpoint left off, with the same schedule
+// and discoveries as an uninterrupted run. When the primary checkpoint is
+// corrupt or truncated, the rotated last-good <path>.bak generation is used
+// instead and ResumeWarning reports the substitution.
 func ResumeFuzzer(cfg Config, path string) (*Fuzzer, error) {
 	st, warning, err := checkpoint.LoadWithFallback(path)
 	if err != nil {
 		return nil, err
 	}
-	// A sharded checkpoint (or a sharded config) routes through the
-	// executor, which validates that the topology matches; a chaotic
-	// checkpoint (or config) does too, whatever its worker count, since only
-	// the supervised executor can replay its fault schedule. A single-shard
-	// checkpoint under Workers <= 1 stays on the single-threaded path.
-	if cfg.Workers > 1 || st.Workers > 1 || cfg.ChaosRate > 0 || st.ChaosRate != 0 {
-		ex, err := shard.Resume(cfg.shardOptions(), st)
-		if err != nil {
-			return nil, err
-		}
-		return &Fuzzer{sharded: ex, cfg: cfg, resumeWarning: warning}, nil
-	}
-	inner, err := core.Resume(cfg.options(), st)
+	ex, err := shard.Resume(cfg.options(), st)
 	if err != nil {
 		return nil, err
 	}
-	return &Fuzzer{inner: inner, cfg: cfg, resumeWarning: warning}, nil
+	return &Fuzzer{ex: ex, cfg: cfg, resumeWarning: warning}, nil
 }
 
 // ResumeWarning is non-empty when ResumeFuzzer could not read the primary
@@ -300,20 +270,21 @@ func (f *Fuzzer) ResumeWarning() string { return f.resumeWarning }
 // FuzzOptions configures one FuzzWithOptions call.
 type FuzzOptions struct {
 	// CheckpointPath, when non-empty, persists campaign state there
-	// (atomically, checksummed, with a .bak rotation) every
-	// CheckpointEvery test-case executions and once when the run ends —
-	// including a run ended by Stop, so an interrupted campaign loses no
-	// work.
+	// (atomically, checksummed, with a .bak rotation) at the first epoch
+	// barrier after every CheckpointEvery test-case executions and once
+	// when the run ends — including a run ended by Stop, so an interrupted
+	// campaign loses no work.
 	CheckpointPath  string
 	CheckpointEvery int
 	// Stop requests graceful shutdown: when the channel is closed the
-	// campaign finishes the fuzzing iteration in flight, stops, flushes
+	// campaign finishes the epoch in flight (with one worker, the epoch
+	// ends with the fuzzing iteration in flight), stops at its barrier, flushes
 	// its final checkpoint, still runs triage (when Config.Triage is set),
 	// and returns a partial report with Interrupted set. Because the stop
-	// lands on an iteration boundary — a state an uninterrupted campaign
-	// also passes through — resuming the flushed checkpoint and finishing
-	// the budget reproduces the uninterrupted campaign exactly. A nil
-	// channel never stops.
+	// lands on an epoch barrier — a state an uninterrupted campaign also
+	// passes through — resuming the flushed checkpoint and finishing the
+	// budget reproduces the uninterrupted campaign exactly. A nil channel
+	// never stops.
 	Stop <-chan struct{}
 }
 
@@ -337,90 +308,53 @@ func (f *Fuzzer) FuzzWithCheckpoint(budgetStmts int, path string, everyExecs int
 // graceful shutdown. When Config.Triage is set, the triage pipeline runs
 // after the loop ends (completed or interrupted) and the checkpoint is
 // re-flushed so the triage results persist.
+//
+// Saves route through the executor's filesystem, so an armed chaos plane can
+// inject checkpoint I/O faults; the executor skips and counts eaten saves
+// (the previous generation stays on disk), and real disk errors still abort.
 func (f *Fuzzer) FuzzWithOptions(budgetStmts int, opts FuzzOptions) (Report, error) {
-	if f.sharded != nil {
-		// Sharded saves route through the executor's filesystem, so an armed
-		// chaos plane can inject checkpoint I/O faults; the executor skips
-		// eaten saves (the previous generation stays on disk) and real disk
-		// errors still abort.
-		var save func(*checkpoint.State) error
-		if opts.CheckpointPath != "" {
-			save = func(st *checkpoint.State) error {
-				return checkpoint.SaveFS(f.sharded.FS(), opts.CheckpointPath, st)
-			}
-		}
-		interrupted, err := f.sharded.Run(budgetStmts, shard.RunOptions{
-			EveryExecs: opts.CheckpointEvery,
-			Save:       save,
-			Stop:       opts.Stop,
-		})
-		if err == nil && f.cfg.Triage {
-			f.sharded.Triage(triage.Config{Replays: f.cfg.TriageReplays, Budget: f.cfg.TriageBudget})
-			if save != nil {
-				if serr := save(f.sharded.Snapshot()); serr != nil && !errors.Is(serr, chaos.ErrInjected) {
-					err = serr
-				}
-			}
-		}
-		rep := f.shardedReport()
-		rep.Interrupted = interrupted
-		return rep, err
-	}
 	var save func(*checkpoint.State) error
 	if opts.CheckpointPath != "" {
 		save = func(st *checkpoint.State) error {
-			return checkpoint.Save(opts.CheckpointPath, st)
+			return checkpoint.SaveFS(f.ex.FS(), opts.CheckpointPath, st)
 		}
 	}
-	runner, interrupted, err := f.inner.RunWithOptions(budgetStmts, core.RunOptions{
+	interrupted, err := f.ex.Run(budgetStmts, shard.RunOptions{
 		EveryExecs: opts.CheckpointEvery,
 		Save:       save,
 		Stop:       opts.Stop,
 	})
 	if err == nil && f.cfg.Triage {
-		f.inner.Triage(triage.Config{Replays: f.cfg.TriageReplays, Budget: f.cfg.TriageBudget})
+		f.ex.Triage(triage.Config{Replays: f.cfg.TriageReplays, Budget: f.cfg.TriageBudget})
 		if save != nil {
-			err = save(f.inner.Snapshot())
+			err = f.ex.Save(save)
 		}
 	}
-	rep := f.report(runner)
+	rep := f.report()
 	rep.Interrupted = interrupted
 	return rep, err
 }
 
-func (f *Fuzzer) report(runner *harness.Runner) Report {
-	return Report{
-		Executions:   runner.Execs,
-		Statements:   runner.Stmts,
-		Branches:     runner.Branches(),
-		Affinities:   f.inner.Affinities(),
-		SeedPool:     f.inner.Pool().Len(),
-		EnginePanics: runner.EnginePanics,
-		Bugs:         bugsFrom(runner.Oracle.Crashes()),
-		Workers:      1,
-	}
-}
-
-// shardedReport summarizes a sharded campaign from its merged global view:
-// totals across shards, the OR-folded coverage, the global oracle, and the
-// supervision plane's journal and degradation record.
-func (f *Fuzzer) shardedReport() Report {
+// report summarizes the campaign from its merged global view: totals across
+// shards, the OR-folded coverage, the global oracle, and the supervision
+// plane's journal and degradation record.
+func (f *Fuzzer) report() Report {
 	var incidents []Incident
-	for _, in := range f.sharded.Incidents() {
+	for _, in := range f.ex.Incidents() {
 		incidents = append(incidents, Incident(in))
 	}
 	return Report{
-		Executions:   f.sharded.Execs(),
-		Statements:   f.sharded.Stmts(),
-		Branches:     f.sharded.Branches(),
-		Affinities:   f.sharded.Affinities(),
-		SeedPool:     f.sharded.PoolLen(),
-		EnginePanics: f.sharded.EnginePanics(),
-		Bugs:         bugsFrom(f.sharded.Oracle().Crashes()),
-		Workers:      f.sharded.Workers(),
-		Quarantined:  f.sharded.QuarantinedShards(),
+		Executions:   f.ex.Execs(),
+		Statements:   f.ex.Stmts(),
+		Branches:     f.ex.Branches(),
+		Affinities:   f.ex.Affinities(),
+		SeedPool:     f.ex.PoolLen(),
+		EnginePanics: f.ex.EnginePanics(),
+		Bugs:         bugsFrom(f.ex.Oracle().Crashes()),
+		Workers:      f.ex.Workers(),
+		Quarantined:  f.ex.QuarantinedShards(),
 		Incidents:    incidents,
-		SaveFaults:   f.sharded.SaveFaults(),
+		SaveFaults:   f.ex.SaveFaults(),
 	}
 }
 

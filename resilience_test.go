@@ -267,9 +267,9 @@ func TestFacadeChaosQuarantineDegrades(t *testing.T) {
 	}
 }
 
-// TestFacadeChaosSingleWorkerSupervised: ChaosRate > 0 with Workers == 1 must
-// route through the supervised executor — a single-worker campaign gets the
-// same recovery machinery, not a silent fall-through to the bare fuzzer.
+// TestFacadeChaosSingleWorkerSupervised: ChaosRate > 0 with the default
+// worker count arms the same supervision as a sharded campaign — a
+// single-worker campaign's failed epochs are journaled and retried too.
 func TestFacadeChaosSingleWorkerSupervised(t *testing.T) {
 	rep := lego.NewFuzzer(lego.Config{
 		Target:     lego.MySQL,
@@ -283,6 +283,34 @@ func TestFacadeChaosSingleWorkerSupervised(t *testing.T) {
 	}
 	if len(rep.Incidents) == 0 {
 		t.Fatal("rate-0.2 chaos over 20 epochs injected nothing on the single-worker path")
+	}
+}
+
+// TestFacadeTriageFlushCountsSaveFault: the checkpoint flush after triage
+// goes through the executor's save path, so a fault the chaos plane injects
+// into it is counted like any other eaten save. At ChaosRate 1 every save
+// faults, and triage adds exactly one save.
+func TestFacadeTriageFlushCountsSaveFault(t *testing.T) {
+	run := func(triage bool) lego.Report {
+		f := lego.NewFuzzer(lego.Config{
+			Target:     lego.MySQL,
+			Seed:       6,
+			EpochStmts: 300,
+			ChaosRate:  1,
+			Triage:     triage,
+		})
+		rep, err := f.FuzzWithCheckpoint(3000, filepath.Join(t.TempDir(), "c.ckpt"), 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	off, on := run(false), run(true)
+	if off.SaveFaults == 0 {
+		t.Fatal("rate-1 chaos ate no save; the fault plane is not armed")
+	}
+	if on.SaveFaults != off.SaveFaults+1 {
+		t.Fatalf("SaveFaults with triage = %d, want %d (without triage) + 1", on.SaveFaults, off.SaveFaults)
 	}
 }
 
