@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures fmtcheck test test-short bench benchall fmt examples clean ci smoke race-shard chaos perfgate profile perfbench-test
+.PHONY: all build vet lint lint-fixtures fmtcheck test test-short bench benchall fmt examples clean ci smoke race-shard chaos perfgate allocgate profile perfbench-test
 
 all: build vet lint test
 
@@ -14,6 +14,7 @@ ci:
 	$(MAKE) lint
 	$(MAKE) lint-fixtures
 	$(GO) test -race ./...
+	$(MAKE) allocgate
 	$(MAKE) perfbench-test
 	$(MAKE) race-shard
 	$(MAKE) smoke
@@ -26,6 +27,14 @@ ci:
 # dependence.
 race-shard:
 	$(GO) test -race -count=1 -run 'Sharded' ./internal/shard/ .
+
+# Allocation gate: the per-operation budgets (TestAllocBudgets) and the
+# allocs/stmt and B/stmt ceilings of one fixed default-path campaign
+# (TestCampaignAllocBudget). Counts are deterministic at a fixed seed, so
+# unlike perfgate this gate is host-independent. It needs a non-race build:
+# under -race sync.Pool drops items at random and the counts vary.
+allocgate:
+	$(GO) test -count=1 -run AllocBudget .
 
 # perfbench/ is a Go module of its own, so the root `go test ./...` never
 # compiles it; its tests keep the campaign benchmark building and running

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -214,8 +215,9 @@ func perfSnapshot(b experiment.Budgets, floor int) (string, bool) {
 		BudgetStmts int       `json:"budget_stmts"`
 		EpochStmts  int       `json:"epoch_stmts"`
 		Seed        int64     `json:"seed"`
+		Host        hostInfo  `json:"host"`
 		Rows        []perfRow `json:"rows"`
-	}{"perf", sqlt.DialectMariaDB.String(), b.DayStmts, epochStmts, b.Seed, rows}
+	}{"perf", sqlt.DialectMariaDB.String(), b.DayStmts, epochStmts, b.Seed, currentHost(), rows}
 	var sb strings.Builder
 	if data, err := json.MarshalIndent(snapshot, "", "  "); err == nil {
 		if werr := os.WriteFile("BENCH_perf.json", append(data, '\n'), 0o644); werr != nil {
@@ -260,6 +262,18 @@ func perfSnapshot(b experiment.Budgets, floor int) (string, bool) {
 	return sb.String(), ok
 }
 
+// hostInfo records the machine a perf row was measured on. The wall-clock
+// columns are comparable only between rows with the same host.
+type hostInfo struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+func currentHost() hostInfo {
+	return hostInfo{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+}
+
 // appendPerfHistory appends one compact JSONL row per perf run, building
 // the perf trajectory the snapshot cannot show: BENCH_perf.json is the
 // latest state, BENCH_history.jsonl is how it got there.
@@ -270,8 +284,9 @@ func appendPerfHistory(b experiment.Budgets, epochStmts int, rows []perfRow) err
 		BudgetStmts int       `json:"budget_stmts"`
 		EpochStmts  int       `json:"epoch_stmts"`
 		Seed        int64     `json:"seed"`
+		Host        hostInfo  `json:"host"`
 		Rows        []perfRow `json:"rows"`
-	}{time.Now().UTC().Format(time.RFC3339), sqlt.DialectMariaDB.String(), b.DayStmts, epochStmts, b.Seed, rows}
+	}{time.Now().UTC().Format(time.RFC3339), sqlt.DialectMariaDB.String(), b.DayStmts, epochStmts, b.Seed, currentHost(), rows}
 	data, err := json.Marshal(entry)
 	if err != nil {
 		return err

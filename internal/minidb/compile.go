@@ -97,23 +97,23 @@ func (l *layout) equal(o *layout) bool {
 	return true
 }
 
-// relLayout builds the layout mirroring rel.scopeRowInto: every column binds
-// its name and (when qualified) "qual.name", leftmost duplicate winning.
+// relLayout returns the layout mirroring rel.scopeRowInto: every column
+// binds its name and (when qualified) "qual.name", leftmost duplicate
+// winning. A relation over shared column metadata shares its layout too.
 func relLayout(rel *relation) layout {
+	if rel.meta != nil {
+		return rel.meta.relLay
+	}
 	return layout{frames: []frame{{keys: rel.cols, qkeys: rel.keyCache()}}}
 }
 
-// tableLayout builds the layout mirroring Engine.rowScope(t, row): name and
-// "table.name" per column, last duplicate winning. Computed fresh per
-// statement — tables mutate under ALTER, so it is never memoized on *Table.
+// tableLayout returns the layout mirroring Engine.rowScope(t, row): name and
+// "table.name" per column, last duplicate winning. It comes from the shared
+// column-metadata cache (colmeta.go), which re-validates it against t's
+// current name and columns on every call, so ALTER and RENAME never leave a
+// stale layout behind. Its slices are shared and read-only.
 func (e *Engine) tableLayout(t *Table) layout {
-	keys := make([]string, len(t.Cols))
-	qkeys := make([]string, len(t.Cols))
-	for ci := range t.Cols {
-		keys[ci] = t.Cols[ci].Name
-		qkeys[ci] = t.Name + "." + t.Cols[ci].Name
-	}
-	return layout{frames: []frame{{keys: keys, qkeys: qkeys, lastWins: true}}}
+	return e.tableMeta(t).tabLay
 }
 
 // prog is one compiled expression node: the run-time equivalent of
@@ -302,7 +302,7 @@ func (c *compiler) compile(x sqlast.Expr) prog {
 		body := c.compileBody(x)
 		return func(m *machine, depth int) (Value, error) {
 			if depth > maxEvalDepth {
-				return Null(), errValue("expression nesting too deep")
+				return Null(), errExprTooDeep
 			}
 			if err := m.e.chargeStep(); err != nil {
 				return Null(), err
@@ -314,7 +314,7 @@ func (c *compiler) compile(x sqlast.Expr) prog {
 			body := c.compileBody(x)
 			return func(m *machine, depth int) (Value, error) {
 				if depth > maxEvalDepth {
-					return Null(), errValue("expression nesting too deep")
+					return Null(), errExprTooDeep
 				}
 				if err := m.e.chargeStep(); err != nil {
 					return Null(), err
@@ -356,7 +356,7 @@ func (c *compiler) compileBody(x sqlast.Expr) prog {
 
 	case *sqlast.Star:
 		return func(m *machine, _ int) (Value, error) {
-			return Null(), errValue("* is not valid in this context")
+			return Null(), errStarInValue
 		}
 
 	case *sqlast.Unary:
@@ -379,7 +379,7 @@ func (c *compiler) compileBody(x sqlast.Expr) prog {
 					if f, ok := val.numeric(); ok {
 						return Float(-f), nil
 					}
-					return Null(), errValue("cannot negate %s", val.String())
+					return Null(), errNamed("cannot negate %s", val.String())
 				}
 			}
 		case "NOT":
@@ -581,7 +581,7 @@ func (c *compiler) compileColRef(v *sqlast.ColRef) prog {
 				}
 			}
 		}
-		return Null(), errValue("column %q does not exist", key)
+		return Null(), errNamed("column %q does not exist", key)
 	}
 }
 
@@ -716,13 +716,13 @@ func (c *compiler) compileBinary(v *sqlast.Binary) prog {
 				case '/':
 					if rv.I == 0 {
 						m.e.hit(pEvalDivZero)
-						return Null(), errValue("division by zero")
+						return Null(), errDivByZero
 					}
 					return Int(lv.I / rv.I), nil
 				default:
 					if rv.I == 0 {
 						m.e.hit(pEvalDivZero)
-						return Null(), errValue("division by zero")
+						return Null(), errDivByZero
 					}
 					return Int(lv.I % rv.I), nil
 				}
@@ -731,7 +731,7 @@ func (c *compiler) compileBinary(v *sqlast.Binary) prog {
 			fl, okL := lv.numeric()
 			fr, okR := rv.numeric()
 			if !okL || !okR {
-				return Null(), errValue("non-numeric operand for %s", opStr)
+				return Null(), errNamed("non-numeric operand for %s", opStr)
 			}
 			switch op {
 			case '+':
@@ -743,13 +743,13 @@ func (c *compiler) compileBinary(v *sqlast.Binary) prog {
 			case '/':
 				if fr == 0 {
 					m.e.hit(pEvalDivZero)
-					return Null(), errValue("division by zero")
+					return Null(), errDivByZero
 				}
 				return Float(fl / fr), nil
 			default:
 				if fr == 0 {
 					m.e.hit(pEvalDivZero)
-					return Null(), errValue("division by zero")
+					return Null(), errDivByZero
 				}
 				return Float(math.Mod(fl, fr)), nil
 			}
@@ -766,7 +766,7 @@ func (c *compiler) compileBinary(v *sqlast.Binary) prog {
 			if _, err := r(m, depth+1); err != nil {
 				return Null(), err
 			}
-			return Null(), errValue("unknown operator %q", opStr)
+			return Null(), errNamed("unknown operator %q", opStr)
 		}
 	}
 }

@@ -145,11 +145,22 @@ type Engine struct {
 	rowsInserted  int
 	lastInsertTab string
 
+	// INSERT scratch stacks (execInsert): target column positions, the
+	// evaluated VALUES, and the source rows slicing them. Each INSERT,
+	// nested trigger INSERTs included, pushes above the current lengths
+	// and pops back on return, so between statements all three are empty.
+	insTargets []int
+	insVals    []Value
+	insRows    [][]Value
+
 	// outcome scratch buffers, reused across RunTestCase calls: the
 	// returned Outcome slices into these, so they are valid only until
 	// the next RunTestCase on the same engine (see Outcome docs).
 	resBuf []*Result
 	errBuf []error
+	// results is the arena every statement's *Result comes from; reset
+	// recycles it, which bounds a Result's life to the next RunTestCase.
+	results resultArena
 
 	// compiled-plan state (plan_cache.go). The cache survives reset():
 	// fuzzing replays near-identical statements across test cases, and
@@ -159,6 +170,11 @@ type Engine struct {
 	plans    *planCache
 	schemaFP uint64
 	fpValid  bool
+
+	// metas is the shared column-metadata cache (colmeta.go). Like the
+	// plan cache it is derived state that survives reset, since the same
+	// tables come back case after case.
+	metas map[colMetaKey]*colMeta
 
 	// covBatch accumulates probe hits per statement and flushes them to
 	// the tracer at statement end (or when full), replacing per-probe
@@ -213,6 +229,7 @@ func (e *Engine) reset() {
 	e.rowsInserted = 0
 	e.lastInsertTab = ""
 	e.fpValid = false
+	e.results.reset()
 }
 
 // endTxn drops every transaction snapshot and savepoint name. It clears
@@ -248,12 +265,59 @@ func (e *Engine) flushCov() {
 	}
 }
 
-// Result is the output of one statement.
+// Result is the output of one statement. Results come from the engine's
+// result arena: one returned by ExecStmt or in Outcome.Results is valid
+// until the engine's next RunTestCase, which recycles the arena.
 type Result struct {
 	Cols     []string
 	Rows     [][]Value
 	Affected int
 	Msg      string
+}
+
+// resultBlock is the number of Results the arena allocates at a time.
+const resultBlock = 64
+
+// resultArena hands out statement Results from engine-owned blocks, so a
+// statement's Result costs no allocation in steady state. No fuzz-loop
+// caller reads results, and their documented lifetime already ends at the
+// next RunTestCase; reset rewinds the current block there. A full block is
+// left to its holders and a new one started, so results handed out earlier
+// in the same test case, or to a caller that never runs a test case (the
+// REPL, lego.DB), stay intact.
+type resultArena struct {
+	block []Result
+	used  int
+}
+
+// next returns a zeroed Result.
+func (a *resultArena) next() *Result {
+	if a.used == len(a.block) {
+		a.block = make([]Result, resultBlock)
+		a.used = 0
+	}
+	r := &a.block[a.used]
+	a.used++
+	return r
+}
+
+// reset zeroes the handed-out part of the current block, dropping every
+// reference an earlier test case's results held, and rewinds it.
+func (a *resultArena) reset() {
+	clear(a.block[:a.used])
+	a.used = 0
+}
+
+// newResult returns an arena Result holding res.
+func (e *Engine) newResult(res Result) *Result {
+	r := e.results.next()
+	*r = res
+	return r
+}
+
+// ok returns a message-only result.
+func (e *Engine) ok(msg string) (*Result, error) {
+	return e.newResult(Result{Msg: msg}), nil
 }
 
 // Outcome summarizes one test-case execution.
@@ -319,7 +383,9 @@ func (e *Engine) RunTestCase(tc sqlast.TestCase) (out Outcome) {
 
 // ExecStmt executes one statement against the current database state.
 // Statement-level SQL errors are returned; seeded-bug crashes panic with a
-// *BugReport (RunTestCase catches them).
+// *BugReport (RunTestCase catches them). The returned *Result belongs to
+// the engine's result arena: it is valid until the engine's next
+// RunTestCase, and a caller that needs it longer must copy it.
 func (e *Engine) ExecStmt(s sqlast.Statement) (*Result, error) {
 	defer e.flushCov()
 	e.hit(pDispatch)
@@ -551,7 +617,7 @@ func (e *Engine) lookTable(name string) (*Table, error) {
 	if t, ok := e.cat.Tables[name]; ok {
 		return t, nil
 	}
-	return nil, errValue("relation %q does not exist", name)
+	return nil, errNamed("relation %q does not exist", name)
 }
 
 // checkPriv verifies the current role may perform priv on table. The default
@@ -564,7 +630,7 @@ func (e *Engine) checkPriv(table, priv string) error {
 	r, ok := e.cat.Roles[e.sess.role]
 	if !ok {
 		e.hit(pAuthDenied)
-		return errValue("role %q does not exist", e.sess.role)
+		return errNamed("role %q does not exist", e.sess.role)
 	}
 	if r.Privs[table]["ALL"] || r.Privs[table][priv] {
 		return nil

@@ -7,22 +7,20 @@ import (
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
-func ok(msg string) (*Result, error) { return &Result{Msg: msg}, nil }
-
 func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 	e.hit(pCreateTable)
 	if _, exists := e.cat.Tables[st.Name]; exists {
 		if st.IfNotExists {
 			e.hit(pCreateTableIfNot)
-			return ok("CREATE TABLE (exists)")
+			return e.ok("CREATE TABLE (exists)")
 		}
-		return nil, errValue("relation %q already exists", st.Name)
+		return nil, errNamed("relation %q already exists", st.Name)
 	}
 	if _, exists := e.cat.Views[st.Name]; exists {
-		return nil, errValue("%q is a view", st.Name)
+		return nil, errNamed("%q is a view", st.Name)
 	}
 	if len(st.Cols) == 0 {
-		return nil, errValue("table must have at least one column")
+		return nil, errNoColumns
 	}
 	if st.Temp {
 		e.hit(pCreateTableTemp)
@@ -31,7 +29,7 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 	for _, cd := range st.Cols {
 		// t.Cols holds exactly the columns seen so far.
 		if t.colIndex(cd.Name) >= 0 {
-			return nil, errValue("duplicate column %q", cd.Name)
+			return nil, errNamed("duplicate column %q", cd.Name)
 		}
 		col := Column{
 			Name:       cd.Name,
@@ -54,7 +52,7 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 		if cd.References != nil {
 			e.hit(pCreateTableFK)
 			if _, ok := e.cat.Tables[cd.References.Table]; !ok && cd.References.Table != st.Name {
-				return nil, errValue("referenced table %q does not exist", cd.References.Table)
+				return nil, errNamed("referenced table %q does not exist", cd.References.Table)
 			}
 			col.RefTable = cd.References.Table
 		}
@@ -85,7 +83,7 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 					}
 				}
 				if i < 0 {
-					return nil, errValue("constraint column %q not found", cn)
+					return nil, errNamed("constraint column %q not found", cn)
 				}
 				if len(tc.Columns) == 1 {
 					t.Cols[i].Unique = true
@@ -99,7 +97,7 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 		case "FOREIGN KEY":
 			e.hit(pCreateTableFK)
 			if _, ok := e.cat.Tables[tc.RefTab]; !ok && tc.RefTab != st.Name {
-				return nil, errValue("referenced table %q does not exist", tc.RefTab)
+				return nil, errNamed("referenced table %q does not exist", tc.RefTab)
 			}
 		case "CHECK":
 			e.hit(pCreateTableCheck)
@@ -107,7 +105,7 @@ func (e *Engine) execCreateTable(st *sqlast.CreateTableStmt) (*Result, error) {
 		t.Constraints = append(t.Constraints, tc)
 	}
 	e.cat.Tables[st.Name] = t
-	return ok("CREATE TABLE")
+	return e.ok("CREATE TABLE")
 }
 
 // lookupDomain finds a domain by case-insensitive name. When several stored
@@ -154,13 +152,13 @@ func (e *Engine) execCreateView(st *sqlast.CreateViewStmt) (*Result, error) {
 		e.hit(pCreateView)
 	}
 	if _, exists := e.cat.Views[st.Name]; exists && !st.OrReplace {
-		return nil, errValue("view %q already exists", st.Name)
+		return nil, errNamed("view %q already exists", st.Name)
 	}
 	if st.OrReplace {
 		e.hit(pCreateViewReplace)
 	}
 	if _, exists := e.cat.Tables[st.Name]; exists {
-		return nil, errValue("%q is a table", st.Name)
+		return nil, errNamed("%q is a table", st.Name)
 	}
 	// validate the query against current schema
 	rows, cols, err := e.execSelect(st.Query, nil, 0)
@@ -174,13 +172,13 @@ func (e *Engine) execCreateView(st *sqlast.CreateViewStmt) (*Result, error) {
 		v.refreshed = true
 	}
 	e.cat.Views[st.Name] = v
-	return ok("CREATE VIEW")
+	return e.ok("CREATE VIEW")
 }
 
 func (e *Engine) execCreateIndex(st *sqlast.CreateIndexStmt) (*Result, error) {
 	e.hit(pCreateIndex)
 	if _, exists := e.cat.Indexes[st.Name]; exists {
-		return nil, errValue("index %q already exists", st.Name)
+		return nil, errNamed("index %q already exists", st.Name)
 	}
 	t, err := e.lookTable(st.Table)
 	if err != nil {
@@ -203,13 +201,13 @@ func (e *Engine) execCreateIndex(st *sqlast.CreateIndexStmt) (*Result, error) {
 			}
 			k := RowKey(key)
 			if seen[k] {
-				return nil, errValue("cannot create unique index: duplicate key")
+				return nil, errUniqueIndexDuplicate
 			}
 			seen[k] = true
 		}
 	}
 	e.cat.Indexes[st.Name] = &Index{Name: st.Name, Table: st.Table, Cols: st.Cols, Unique: st.Unique}
-	return ok("CREATE INDEX")
+	return e.ok("CREATE INDEX")
 }
 
 func (e *Engine) execCreateTrigger(st *sqlast.CreateTriggerStmt) (*Result, error) {
@@ -218,7 +216,7 @@ func (e *Engine) execCreateTrigger(st *sqlast.CreateTriggerStmt) (*Result, error
 		e.hit(pCreateTriggerBefore)
 	}
 	if _, exists := e.cat.Triggers[st.Name]; exists {
-		return nil, errValue("trigger %q already exists", st.Name)
+		return nil, errNamed("trigger %q already exists", st.Name)
 	}
 	if _, err := e.lookTable(st.Table); err != nil {
 		return nil, err
@@ -226,55 +224,55 @@ func (e *Engine) execCreateTrigger(st *sqlast.CreateTriggerStmt) (*Result, error
 	e.cat.Triggers[st.Name] = &Trigger{
 		Name: st.Name, Table: st.Table, Time: st.Time, Event: st.Event, Body: st.Body,
 	}
-	return ok("CREATE TRIGGER")
+	return e.ok("CREATE TRIGGER")
 }
 
 func (e *Engine) execCreateSequence(st *sqlast.CreateSequenceStmt) (*Result, error) {
 	e.hit(pCreateSequence)
 	if _, exists := e.cat.Sequences[st.Name]; exists {
-		return nil, errValue("sequence %q already exists", st.Name)
+		return nil, errNamed("sequence %q already exists", st.Name)
 	}
 	inc := st.Inc
 	if inc == 0 {
 		inc = 1
 	}
 	e.cat.Sequences[st.Name] = &Sequence{Name: st.Name, Val: st.Start, Inc: inc}
-	return ok("CREATE SEQUENCE")
+	return e.ok("CREATE SEQUENCE")
 }
 
 func (e *Engine) execCreateSchema(st *sqlast.CreateSchemaStmt) (*Result, error) {
 	e.hit(pCreateSchema)
 	if e.cat.Schemas[st.Name] {
-		return nil, errValue("schema %q already exists", st.Name)
+		return nil, errNamed("schema %q already exists", st.Name)
 	}
 	e.cat.Schemas[st.Name] = true
-	return ok("CREATE SCHEMA")
+	return e.ok("CREATE SCHEMA")
 }
 
 func (e *Engine) execCreateFunction(st *sqlast.CreateFunctionStmt) (*Result, error) {
 	e.hit(pCreateFunction)
 	if _, exists := e.cat.Functions[st.Name]; exists {
-		return nil, errValue("function %q already exists", st.Name)
+		return nil, errNamed("function %q already exists", st.Name)
 	}
 	e.cat.Functions[st.Name] = &Function{
 		Name: st.Name, Params: st.Params, Returns: st.Returns, Body: st.Body,
 	}
-	return ok("CREATE FUNCTION")
+	return e.ok("CREATE FUNCTION")
 }
 
 func (e *Engine) execCreateProcedure(st *sqlast.CreateProcedureStmt) (*Result, error) {
 	e.hit(pCreateProcedure)
 	if _, exists := e.cat.Procedures[st.Name]; exists {
-		return nil, errValue("procedure %q already exists", st.Name)
+		return nil, errNamed("procedure %q already exists", st.Name)
 	}
 	e.cat.Procedures[st.Name] = &Procedure{Name: st.Name, Body: st.Body}
-	return ok("CREATE PROCEDURE")
+	return e.ok("CREATE PROCEDURE")
 }
 
 func (e *Engine) execCreateRule(st *sqlast.CreateRuleStmt) (*Result, error) {
 	e.hit(pCreateRule)
 	if _, exists := e.cat.Rules[st.Name]; exists && !st.OrReplace {
-		return nil, errValue("rule %q already exists", st.Name)
+		return nil, errNamed("rule %q already exists", st.Name)
 	}
 	if _, err := e.lookTable(st.Table); err != nil {
 		return nil, err
@@ -285,55 +283,55 @@ func (e *Engine) execCreateRule(st *sqlast.CreateRuleStmt) (*Result, error) {
 	e.cat.Rules[st.Name] = &Rule{
 		Name: st.Name, Table: st.Table, Event: st.Event, Instead: st.Instead, Action: st.Action,
 	}
-	return ok("CREATE RULE")
+	return e.ok("CREATE RULE")
 }
 
 func (e *Engine) execCreateDomain(st *sqlast.CreateDomainStmt) (*Result, error) {
 	e.hit(pCreateDomain)
 	if _, exists := e.cat.Domains[st.Name]; exists {
-		return nil, errValue("domain %q already exists", st.Name)
+		return nil, errNamed("domain %q already exists", st.Name)
 	}
 	e.cat.Domains[st.Name] = &Domain{Name: st.Name, Base: st.Base, Check: st.Check}
-	return ok("CREATE DOMAIN")
+	return e.ok("CREATE DOMAIN")
 }
 
 func (e *Engine) execCreateType(st *sqlast.CreateTypeStmt) (*Result, error) {
 	e.hit(pCreateType)
 	if _, exists := e.cat.Enums[st.Name]; exists {
-		return nil, errValue("type %q already exists", st.Name)
+		return nil, errNamed("type %q already exists", st.Name)
 	}
 	e.cat.Enums[st.Name] = &EnumType{Name: st.Name, Values: st.Values}
-	return ok("CREATE TYPE")
+	return e.ok("CREATE TYPE")
 }
 
 func (e *Engine) execCreateExtension(st *sqlast.CreateExtensionStmt) (*Result, error) {
 	e.hit(pCreateExtension)
 	if e.cat.Extensions[st.Name] {
-		return nil, errValue("extension %q already installed", st.Name)
+		return nil, errNamed("extension %q already installed", st.Name)
 	}
 	e.cat.Extensions[st.Name] = true
-	return ok("CREATE EXTENSION")
+	return e.ok("CREATE EXTENSION")
 }
 
 func (e *Engine) execCreateRole(st *sqlast.CreateRoleStmt) (*Result, error) {
 	e.hit(pCreateRole)
 	if _, exists := e.cat.Roles[st.Name]; exists {
-		return nil, errValue("role %q already exists", st.Name)
+		return nil, errNamed("role %q already exists", st.Name)
 	}
 	e.cat.Roles[st.Name] = &Role{
 		Name: st.Name, IsUser: st.IsUser, Option: st.Option,
 		Privs: map[string]map[string]bool{},
 	}
-	return ok("CREATE ROLE")
+	return e.ok("CREATE ROLE")
 }
 
 func (e *Engine) execCreateDatabase(st *sqlast.CreateDatabaseStmt) (*Result, error) {
 	e.hit(pCreateDatabase)
 	if e.cat.Databases[st.Name] {
-		return nil, errValue("database %q already exists", st.Name)
+		return nil, errNamed("database %q already exists", st.Name)
 	}
 	e.cat.Databases[st.Name] = true
-	return ok("CREATE DATABASE")
+	return e.ok("CREATE DATABASE")
 }
 
 func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
@@ -345,7 +343,7 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 	case sqlast.AlterAddColumn:
 		e.hit(pAlterTableAdd)
 		if t.colIndex(st.Col.Name) >= 0 {
-			return nil, errValue("column %q already exists", st.Col.Name)
+			return nil, errNamed("column %q already exists", st.Col.Name)
 		}
 		col := Column{
 			Name: st.Col.Name, TypeName: st.Col.TypeName,
@@ -364,7 +362,7 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 				v = CoerceToColumn(col.TypeName, dv)
 			} else {
 				if col.NotNull {
-					return nil, errValue("cannot add NOT NULL column without default to non-empty table")
+					return nil, errNotNullNeedsDefault
 				}
 				v = Null()
 			}
@@ -374,10 +372,10 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 		e.hit(pAlterTableDrop)
 		i := t.colIndex(st.OldName)
 		if i < 0 {
-			return nil, errValue("column %q does not exist", st.OldName)
+			return nil, errNamed("column %q does not exist", st.OldName)
 		}
 		if len(t.Cols) == 1 {
-			return nil, errValue("cannot drop the last column")
+			return nil, errDropLastColumn
 		}
 		t.Cols = append(t.Cols[:i], t.Cols[i+1:]...)
 		for r := range t.Rows {
@@ -388,10 +386,10 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 		e.hit(pAlterTableRenameCol)
 		i := t.colIndex(st.OldName)
 		if i < 0 {
-			return nil, errValue("column %q does not exist", st.OldName)
+			return nil, errNamed("column %q does not exist", st.OldName)
 		}
 		if t.colIndex(st.NewName) >= 0 {
-			return nil, errValue("column %q already exists", st.NewName)
+			return nil, errNamed("column %q already exists", st.NewName)
 		}
 		t.Cols[i].Name = st.NewName
 		e.invalidateIndexes(st.Table)
@@ -402,7 +400,7 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 		e.hit(pAlterTableType)
 		i := t.colIndex(st.Col.Name)
 		if i < 0 {
-			return nil, errValue("column %q does not exist", st.Col.Name)
+			return nil, errNamed("column %q does not exist", st.Col.Name)
 		}
 		t.Cols[i].TypeName = st.Col.TypeName
 		if len(t.Rows) > 0 {
@@ -415,12 +413,12 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 		e.hit(pAlterTableDefault)
 		i := t.colIndex(st.Col.Name)
 		if i < 0 {
-			return nil, errValue("column %q does not exist", st.Col.Name)
+			return nil, errNamed("column %q does not exist", st.Col.Name)
 		}
 		t.Cols[i].Default = st.Col.Default
 	}
 	t.analyzed = false
-	return ok("ALTER TABLE")
+	return e.ok("ALTER TABLE")
 }
 
 // invalidateIndexes marks indexes on a table stale until REINDEX.
@@ -436,7 +434,7 @@ func (e *Engine) renameTable(from, to string) (*Result, error) {
 		return nil, err
 	}
 	if _, exists := e.cat.Tables[to]; exists {
-		return nil, errValue("relation %q already exists", to)
+		return nil, errNamed("relation %q already exists", to)
 	}
 	delete(e.cat.Tables, from)
 	t.Name = to
@@ -454,7 +452,7 @@ func (e *Engine) renameTable(from, to string) (*Result, error) {
 			r.Table = to
 		}
 	}
-	return ok("RENAME")
+	return e.ok("RENAME")
 }
 
 func (e *Engine) execAlterSimple(st *sqlast.AlterSimpleStmt) (*Result, error) {
@@ -463,10 +461,10 @@ func (e *Engine) execAlterSimple(st *sqlast.AlterSimpleStmt) (*Result, error) {
 	case sqlt.AlterView:
 		v, ok2 := e.cat.Views[st.Name]
 		if !ok2 {
-			return nil, errValue("view %q does not exist", st.Name)
+			return nil, errNamed("view %q does not exist", st.Name)
 		}
 		if _, exists := e.cat.Views[st.NewName]; exists {
-			return nil, errValue("view %q already exists", st.NewName)
+			return nil, errNamed("view %q already exists", st.NewName)
 		}
 		delete(e.cat.Views, st.Name)
 		v.Name = st.NewName
@@ -474,10 +472,10 @@ func (e *Engine) execAlterSimple(st *sqlast.AlterSimpleStmt) (*Result, error) {
 	case sqlt.AlterIndex:
 		ix, ok2 := e.cat.Indexes[st.Name]
 		if !ok2 {
-			return nil, errValue("index %q does not exist", st.Name)
+			return nil, errNamed("index %q does not exist", st.Name)
 		}
 		if _, exists := e.cat.Indexes[st.NewName]; exists {
-			return nil, errValue("index %q already exists", st.NewName)
+			return nil, errNamed("index %q already exists", st.NewName)
 		}
 		delete(e.cat.Indexes, st.Name)
 		ix.Name = st.NewName
@@ -485,21 +483,21 @@ func (e *Engine) execAlterSimple(st *sqlast.AlterSimpleStmt) (*Result, error) {
 	case sqlt.AlterSequence:
 		sq, ok2 := e.cat.Sequences[st.Name]
 		if !ok2 {
-			return nil, errValue("sequence %q does not exist", st.Name)
+			return nil, errNamed("sequence %q does not exist", st.Name)
 		}
 		sq.Val = st.Restart
 	case sqlt.AlterRole:
 		r, ok2 := e.cat.Roles[st.Name]
 		if !ok2 {
-			return nil, errValue("role %q does not exist", st.Name)
+			return nil, errNamed("role %q does not exist", st.Name)
 		}
 		r.Option = st.Option
 	case sqlt.AlterDatabase:
 		if !e.cat.Databases[st.Name] {
-			return nil, errValue("database %q does not exist", st.Name)
+			return nil, errNamed("database %q does not exist", st.Name)
 		}
 	}
-	return ok("ALTER")
+	return e.ok("ALTER")
 }
 
 func (e *Engine) execAlterSystem(st *sqlast.AlterSystemStmt) (*Result, error) {
@@ -509,7 +507,7 @@ func (e *Engine) execAlterSystem(st *sqlast.AlterSystemStmt) (*Result, error) {
 		return nil, err
 	}
 	e.sess.globals[st.Setting] = v
-	return ok("ALTER SYSTEM")
+	return e.ok("ALTER SYSTEM")
 }
 
 func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
@@ -520,9 +518,9 @@ func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
 	miss := func() (*Result, error) {
 		if st.IfExists {
 			e.hit(pDropIfExistsMiss)
-			return ok("DROP (skipped)")
+			return e.ok("DROP (skipped)")
 		}
-		return nil, errValue("object %q does not exist", st.Name)
+		return nil, errNamed("object %q does not exist", st.Name)
 	}
 	switch st.What {
 	case sqlt.DropTable:
@@ -561,7 +559,7 @@ func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
 			return miss()
 		}
 		if (st.What == sqlt.DropMaterializedView) != v.Materialized {
-			return nil, errValue("%q is not the right kind of view", st.Name)
+			return nil, errNamed("%q is not the right kind of view", st.Name)
 		}
 		delete(e.cat.Views, st.Name)
 	case sqlt.DropIndex:
@@ -619,7 +617,7 @@ func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
 			return miss()
 		}
 		if e.sess.role == st.Name {
-			return nil, errValue("cannot drop the current role")
+			return nil, errDropCurrentRole
 		}
 		delete(e.cat.Roles, st.Name)
 	case sqlt.DropDatabase:
@@ -627,11 +625,11 @@ func (e *Engine) execDrop(st *sqlast.DropStmt) (*Result, error) {
 			return miss()
 		}
 		if st.Name == e.sess.curDB {
-			return nil, errValue("cannot drop the current database")
+			return nil, errDropCurrentDatabase
 		}
 		delete(e.cat.Databases, st.Name)
 	}
-	return ok("DROP")
+	return e.ok("DROP")
 }
 
 func (e *Engine) execRenameTable(st *sqlast.RenameTableStmt) (*Result, error) {
@@ -654,7 +652,7 @@ func (e *Engine) execTruncate(st *sqlast.TruncateStmt) (*Result, error) {
 	n := len(t.Rows)
 	t.Rows = nil
 	t.analyzed = false
-	return &Result{Affected: n, Msg: "TRUNCATE"}, nil
+	return e.newResult(Result{Affected: n, Msg: "TRUNCATE"}), nil
 }
 
 func (e *Engine) execCommentOn(st *sqlast.CommentOnStmt) (*Result, error) {
@@ -667,27 +665,27 @@ func (e *Engine) execCommentOn(st *sqlast.CommentOnStmt) (*Result, error) {
 		}
 	case "VIEW":
 		if _, exists := e.cat.Views[st.Name]; !exists {
-			return nil, errValue("view %q does not exist", st.Name)
+			return nil, errNamed("view %q does not exist", st.Name)
 		}
 	case "COLUMN":
 		parts := strings.SplitN(st.Name, ".", 2)
 		if len(parts) != 2 {
-			return nil, errValue("COMMENT ON COLUMN needs table.column")
+			return nil, errCommentNeedsColumn
 		}
 		t, err := e.lookTable(parts[0])
 		if err != nil {
 			return nil, err
 		}
 		if t.colIndex(parts[1]) < 0 {
-			return nil, errValue("column %q does not exist", parts[1])
+			return nil, errNamed("column %q does not exist", parts[1])
 		}
 	case "INDEX":
 		if _, exists := e.cat.Indexes[st.Name]; !exists {
-			return nil, errValue("index %q does not exist", st.Name)
+			return nil, errNamed("index %q does not exist", st.Name)
 		}
 	}
 	e.cat.Comments[key] = st.Comment
-	return ok("COMMENT")
+	return e.ok("COMMENT")
 }
 
 func (e *Engine) execReindex(st *sqlast.ReindexStmt) (*Result, error) {
@@ -696,7 +694,7 @@ func (e *Engine) execReindex(st *sqlast.ReindexStmt) (*Result, error) {
 	case "INDEX":
 		ix, exists := e.cat.Indexes[st.Name]
 		if !exists {
-			return nil, errValue("index %q does not exist", st.Name)
+			return nil, errNamed("index %q does not exist", st.Name)
 		}
 		if ix.stale {
 			e.hit(pReindexStale)
@@ -713,14 +711,14 @@ func (e *Engine) execReindex(st *sqlast.ReindexStmt) (*Result, error) {
 			}
 		}
 	}
-	return ok("REINDEX")
+	return e.ok("REINDEX")
 }
 
 func (e *Engine) execRefreshMatView(st *sqlast.RefreshMatViewStmt) (*Result, error) {
 	e.hit(pRefreshMatView)
 	v, exists := e.cat.Views[st.Name]
 	if !exists || !v.Materialized {
-		return nil, errValue("materialized view %q does not exist", st.Name)
+		return nil, errNamed("materialized view %q does not exist", st.Name)
 	}
 	rows, cols, err := e.execSelect(v.Query, nil, 0)
 	if err != nil {
@@ -729,5 +727,5 @@ func (e *Engine) execRefreshMatView(st *sqlast.RefreshMatViewStmt) (*Result, err
 	v.MatCols = cols
 	v.MatRows = rows
 	v.refreshed = true
-	return &Result{Affected: len(rows), Msg: "REFRESH"}, nil
+	return e.newResult(Result{Affected: len(rows), Msg: "REFRESH"}), nil
 }

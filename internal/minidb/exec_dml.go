@@ -1,6 +1,7 @@
 package minidb
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,23 +25,32 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 		return nil, err
 	}
 
+	// The target columns and evaluated VALUES rows live on the engine's
+	// scratch stacks above the marks taken here; a trigger body's nested
+	// INSERT pushes above ours and pops back before it returns. The
+	// deferred pop also runs when a BugReport panic unwinds the statement.
+	// No source row outlives the statement: buildRow copies it into the
+	// row that is stored.
+	tMark, vMark, rMark := len(e.insTargets), len(e.insVals), len(e.insRows)
+	defer e.popInsert(tMark, vMark, rMark)
+
 	// resolve target columns
-	targets := make([]int, 0, len(t.Cols))
 	if len(st.Cols) > 0 {
 		for _, cn := range st.Cols {
 			i := t.colIndex(cn)
 			if i < 0 {
 				return nil, errValue("column %q does not exist in %q", cn, st.Table)
 			}
-			targets = append(targets, i)
+			e.insTargets = append(e.insTargets, i)
 		}
 	} else {
 		for i := range t.Cols {
-			targets = append(targets, i)
+			e.insTargets = append(e.insTargets, i)
 		}
 	}
+	targets := e.insTargets[tMark:len(e.insTargets):len(e.insTargets)]
 
-	// source rows
+	// source rows, all evaluated before any is inserted
 	var srcRows [][]Value
 	switch {
 	case st.Query != nil:
@@ -57,19 +67,20 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 		for _, exprRow := range st.Rows {
 			if len(exprRow) == 0 {
 				e.hit(pInsertDefault)
-				srcRows = append(srcRows, nil) // all defaults
+				e.insRows = append(e.insRows, nil) // all defaults
 				continue
 			}
-			row := make([]Value, len(exprRow))
-			for i, x := range exprRow {
+			start := len(e.insVals)
+			for _, x := range exprRow {
 				v, err := e.eval(x, emptyScope, 0)
 				if err != nil {
 					return nil, err
 				}
-				row[i] = v
+				e.insVals = append(e.insVals, v)
 			}
-			srcRows = append(srcRows, row)
+			e.insRows = append(e.insRows, e.insVals[start:len(e.insVals):len(e.insVals)])
 		}
+		srcRows = e.insRows[rMark:len(e.insRows):len(e.insRows)]
 	}
 
 	inserted := 0
@@ -97,7 +108,7 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 				e.hit(pInsertConflict)
 				continue
 			default:
-				return nil, errValue("duplicate key value violates unique constraint")
+				return nil, errUniqueViolation
 			}
 		}
 		if err := e.checkRowConstraints(t, full); err != nil {
@@ -108,7 +119,7 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 		}
 		if len(t.Rows) >= e.limits.MaxRowsPerTable {
 			e.hit(pStorageFull)
-			return nil, errValue("table %q is full", t.Name)
+			return nil, errNamed("table %q is full", t.Name)
 		}
 		e.hit(pStorageAppend)
 		if len(t.Rows) == 0 {
@@ -139,24 +150,33 @@ func (e *Engine) execInsert(st *sqlast.InsertStmt) (*Result, error) {
 			retRows = append(retRows, ret)
 		}
 	}
-	return &Result{Affected: inserted, Rows: retRows, Msg: "INSERT"}, nil
+	return e.newResult(Result{Affected: inserted, Rows: retRows, Msg: "INSERT"}), nil
+}
+
+// popInsert truncates the INSERT scratch stacks back to an execInsert's
+// marks, zeroing what it pops so no earlier statement's values stay
+// reachable.
+func (e *Engine) popInsert(tMark, vMark, rMark int) {
+	e.insTargets = e.insTargets[:tMark]
+	clear(e.insVals[vMark:])
+	e.insVals = e.insVals[:vMark]
+	clear(e.insRows[rMark:])
+	e.insRows = e.insRows[:rMark]
 }
 
 // buildRow assembles a full-width storage row from source values, applying
-// defaults and coercion.
+// defaults and coercion. The row is the one allocation: it is stored.
 func (e *Engine) buildRow(t *Table, targets []int, src []Value) ([]Value, error) {
 	full := make([]Value, len(t.Cols))
-	filled := make([]bool, len(t.Cols))
 	for n, ci := range targets {
 		if src == nil {
 			break
 		}
 		full[ci] = CoerceToColumn(t.Cols[ci].TypeName, src[n])
-		filled[ci] = true
 	}
 	for ci := range t.Cols {
-		if filled[ci] {
-			continue
+		if src != nil && slices.Contains(targets, ci) {
+			continue // filled from the source row
 		}
 		if t.Cols[ci].Default != nil {
 			dv, err := e.eval(t.Cols[ci].Default, emptyScope, 0)
@@ -227,7 +247,7 @@ func (e *Engine) checkRowConstraints(t *Table, row []Value) error {
 	for ci, col := range t.Cols {
 		if col.NotNull && row[ci].IsNull() {
 			e.hit(pInsertNotNull)
-			return errValue("null value in column %q violates not-null constraint", col.Name)
+			return errNamed("null value in column %q violates not-null constraint", col.Name)
 		}
 		if col.Check != nil {
 			sc := e.rowScope(t, row)
@@ -238,14 +258,14 @@ func (e *Engine) checkRowConstraints(t *Table, row []Value) error {
 			}
 			if !v.IsNull() && !v.Truthy() {
 				e.hit(pInsertCheckFail)
-				return errValue("check constraint on %q failed", col.Name)
+				return errNamed("check constraint on %q failed", col.Name)
 			}
 		}
 		if col.RefTable != "" && !row[ci].IsNull() {
 			e.hit(pInsertFKCheck)
 			ref, ok := e.cat.Tables[col.RefTable]
 			if !ok {
-				return errValue("referenced table %q is gone", col.RefTable)
+				return errNamed("referenced table %q is gone", col.RefTable)
 			}
 			found := false
 			for _, rr := range ref.Rows {
@@ -260,7 +280,7 @@ func (e *Engine) checkRowConstraints(t *Table, row []Value) error {
 				}
 			}
 			if !found && ref != t {
-				return errValue("foreign key violation on column %q", col.Name)
+				return errNamed("foreign key violation on column %q", col.Name)
 			}
 		}
 	}
@@ -273,7 +293,7 @@ func (e *Engine) checkRowConstraints(t *Table, row []Value) error {
 			}
 			if !v.IsNull() && !v.Truthy() {
 				e.hit(pInsertCheckFail)
-				return errValue("table check constraint failed")
+				return errTableCheckFailed
 			}
 		}
 	}
@@ -282,13 +302,14 @@ func (e *Engine) checkRowConstraints(t *Table, row []Value) error {
 
 // rowScope builds an evaluation scope for one row of a table.
 func (e *Engine) rowScope(t *Table, row []Value) *scope {
+	meta := e.tableMeta(t)
 	m := make(map[string]Value, 2*len(t.Cols))
 	for ci := range t.Cols {
 		if ci >= len(row) { // table reshaped mid-statement by a trigger
 			break
 		}
-		m[t.Cols[ci].Name] = row[ci]
-		m[t.Name+"."+t.Cols[ci].Name] = row[ci]
+		m[meta.cols[ci]] = row[ci]
+		m[meta.tabKeys[ci]] = row[ci]
 	}
 	return &scope{row: m}
 }
@@ -445,7 +466,7 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 	}
 	if len(idxs) == 0 {
 		e.hit(pUpdateZeroRows)
-		return &Result{Affected: 0, Msg: "UPDATE"}, nil
+		return e.newResult(Result{Affected: 0, Msg: "UPDATE"}), nil
 	}
 	setIdx := make([]int, len(st.Sets))
 	for i, a := range st.Sets {
@@ -507,7 +528,7 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 			return nil, err
 		}
 		if c := e.findUniqueConflict(t, newRow, ri); c >= 0 {
-			return nil, errValue("duplicate key value violates unique constraint")
+			return nil, errUniqueViolation
 		}
 		if len(e.cat.indexesFor(t.Name)) > 0 {
 			e.hit(pUpdateIndexMaint)
@@ -519,7 +540,7 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 		}
 	}
 	t.analyzed = false
-	return &Result{Affected: touched, Msg: "UPDATE"}, nil
+	return e.newResult(Result{Affected: touched, Msg: "UPDATE"}), nil
 }
 
 func (e *Engine) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
@@ -543,7 +564,7 @@ func (e *Engine) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
 	}
 	if len(idxs) == 0 {
 		e.hit(pDeleteZeroRows)
-		return &Result{Affected: 0, Msg: "DELETE"}, nil
+		return e.newResult(Result{Affected: 0, Msg: "DELETE"}), nil
 	}
 	var retRows [][]Value
 	del := make(map[int]bool, len(idxs))
@@ -579,7 +600,7 @@ func (e *Engine) execDelete(st *sqlast.DeleteStmt) (*Result, error) {
 	}
 	t.Rows = kept
 	t.analyzed = false
-	return &Result{Affected: len(del), Rows: retRows, Msg: "DELETE"}, nil
+	return e.newResult(Result{Affected: len(del), Rows: retRows, Msg: "DELETE"}), nil
 }
 
 func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
@@ -599,10 +620,12 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 	// retains the scope past a row's ON/SET or VALUES evaluation: eval
 	// only reads it, and the subqueries and function calls it reaches hold
 	// it as a parent only while they run (their machines and child scopes
-	// are built per evaluation). The qualified keys are built once here.
+	// are built per evaluation). The qualified keys are the tables' shared
+	// column metadata: a table's name is its catalog key, so they are
+	// exactly "target.col" and "source.col".
 	sc := &scope{row: make(map[string]Value, 2*(len(target.Cols)+len(source.Cols)))}
-	tKeys := qualifiedKeys(st.Target, target.Cols)
-	sKeys := qualifiedKeys(st.Source, source.Cols)
+	tKeys := e.tableMeta(target).qkeys
+	sKeys := e.tableMeta(source).qkeys
 	affected := 0
 	var toDelete []int
 	for _, srow := range source.Rows {
@@ -630,7 +653,7 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 				for _, a := range st.MatchedSet {
 					ci := target.colIndex(a.Col)
 					if ci < 0 {
-						return nil, errValue("column %q does not exist", a.Col)
+						return nil, errNamed("column %q does not exist", a.Col)
 					}
 					av, err := e.eval(a.Value, sc, 0)
 					if err != nil {
@@ -647,7 +670,7 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 		if !matchedAny && st.NotMatchedVals != nil {
 			e.hit(pMergeNotMatched)
 			if len(st.NotMatchedVals) != len(target.Cols) {
-				return nil, errValue("MERGE insert arity mismatch")
+				return nil, errMergeArity
 			}
 			row := make([]Value, len(target.Cols))
 			clear(sc.row)
@@ -664,7 +687,7 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 			}
 			if len(target.Rows) >= e.limits.MaxRowsPerTable {
 				e.hit(pStorageFull)
-				return nil, errValue("table %q is full", target.Name)
+				return nil, errNamed("table %q is full", target.Name)
 			}
 			target.Rows = append(target.Rows, row)
 			affected++
@@ -684,16 +707,7 @@ func (e *Engine) execMerge(st *sqlast.MergeStmt) (*Result, error) {
 		target.Rows = kept
 	}
 	target.analyzed = false
-	return &Result{Affected: affected, Msg: "MERGE"}, nil
-}
-
-// qualifiedKeys returns the "qual.col" scope keys of cols, in column order.
-func qualifiedKeys(qual string, cols []Column) []string {
-	keys := make([]string, len(cols))
-	for i := range cols {
-		keys[i] = qual + "." + cols[i].Name
-	}
-	return keys
+	return e.newResult(Result{Affected: affected, Msg: "MERGE"}), nil
 }
 
 func (e *Engine) execCopy(st *sqlast.CopyStmt) (*Result, error) {
@@ -725,7 +739,7 @@ func (e *Engine) execCopy(st *sqlast.CopyStmt) (*Result, error) {
 			t.Rows = append(t.Rows, row)
 			n++
 		}
-		return &Result{Affected: n, Msg: "COPY"}, nil
+		return e.newResult(Result{Affected: n, Msg: "COPY"}), nil
 	}
 	e.hit(pCopyOut)
 	var rows [][]Value
@@ -764,7 +778,7 @@ func (e *Engine) execCopy(st *sqlast.CopyStmt) (*Result, error) {
 		}
 		sb.WriteByte('\n')
 	}
-	return &Result{Cols: cols, Rows: rows, Msg: sb.String()}, nil
+	return e.newResult(Result{Cols: cols, Rows: rows, Msg: sb.String()}), nil
 }
 
 func (e *Engine) execLoadData(st *sqlast.LoadDataStmt) (*Result, error) {
@@ -802,30 +816,28 @@ func (e *Engine) execLoadData(st *sqlast.LoadDataStmt) (*Result, error) {
 		n++
 	}
 	t.analyzed = false
-	return &Result{Affected: n, Msg: "LOAD DATA"}, nil
+	return e.newResult(Result{Affected: n, Msg: "LOAD DATA"}), nil
 }
 
 func (e *Engine) execCall(st *sqlast.CallStmt) (*Result, error) {
 	e.hit(pCall)
 	p, ok := e.cat.Procedures[st.Name]
 	if !ok {
-		return nil, errValue("procedure %q does not exist", st.Name)
+		return nil, errNamed("procedure %q does not exist", st.Name)
 	}
 	if e.triggerDepth >= e.limits.MaxTriggerDepth {
 		e.hit(pTriggerDepthCap)
-		return ok2("CALL (depth cap)")
+		return e.ok("CALL (depth cap)")
 	}
 	e.triggerDepth++
 	defer func() { e.triggerDepth-- }()
 	return e.dispatch(p.Body)
 }
 
-func ok2(msg string) (*Result, error) { return &Result{Msg: msg}, nil }
-
 func (e *Engine) execDo(st *sqlast.DoStmt) (*Result, error) {
 	e.hit(pDo)
 	if _, err := e.eval(st.Body, emptyScope, 0); err != nil {
 		return nil, err
 	}
-	return ok("DO")
+	return e.ok("DO")
 }

@@ -1,6 +1,7 @@
 package minidb
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,11 +13,13 @@ import (
 
 func (e *Engine) execTableStmt(st *sqlast.TableStmtNode) (*Result, error) {
 	e.hit(pExecTableStmt)
-	rel, err := e.resolveNamedRelation(st.Name, nil, 0)
+	cols, rows, err := e.resolveNamedRelation(st.Name, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Cols: rel.cols, Rows: rel.rows}, nil
+	// A table's column names are shared metadata (colmeta.go); the result
+	// leaves the engine, so it gets its own copy.
+	return e.newResult(Result{Cols: slices.Clone(cols), Rows: rows}), nil
 }
 
 func (e *Engine) execValuesStmt(st *sqlast.ValuesStmtNode) (*Result, error) {
@@ -39,7 +42,7 @@ func (e *Engine) execValuesStmt(st *sqlast.ValuesStmtNode) (*Result, error) {
 			cols = append(cols, "column"+itoaSmall(i+1))
 		}
 	}
-	return &Result{Cols: cols, Rows: rows}, nil
+	return e.newResult(Result{Cols: cols, Rows: rows}), nil
 }
 
 func (e *Engine) execShow(st *sqlast.ShowStmt) (*Result, error) {
@@ -50,7 +53,7 @@ func (e *Engine) execShow(st *sqlast.ShowStmt) (*Result, error) {
 		for _, n := range e.cat.tableNames() {
 			rows = append(rows, []Value{Text(n)})
 		}
-		return &Result{Cols: []string{"table_name"}, Rows: rows}, nil
+		return e.newResult(Result{Cols: []string{"table_name"}, Rows: rows}), nil
 	case "DATABASES":
 		var names []string
 		for n := range e.cat.Databases {
@@ -61,16 +64,16 @@ func (e *Engine) execShow(st *sqlast.ShowStmt) (*Result, error) {
 		for _, n := range names {
 			rows = append(rows, []Value{Text(n)})
 		}
-		return &Result{Cols: []string{"database"}, Rows: rows}, nil
+		return e.newResult(Result{Cols: []string{"database"}, Rows: rows}), nil
 	default:
 		name := strings.ToLower(st.Name)
 		if v, okv := e.sess.vars[name]; okv {
-			return &Result{Cols: []string{name}, Rows: [][]Value{{v}}}, nil
+			return e.newResult(Result{Cols: []string{name}, Rows: [][]Value{{v}}}), nil
 		}
 		if v, okv := e.sess.globals[name]; okv {
-			return &Result{Cols: []string{name}, Rows: [][]Value{{v}}}, nil
+			return e.newResult(Result{Cols: []string{name}, Rows: [][]Value{{v}}}), nil
 		}
-		return &Result{Cols: []string{name}, Rows: [][]Value{{Null()}}}, nil
+		return e.newResult(Result{Cols: []string{name}, Rows: [][]Value{{Null()}}}), nil
 	}
 }
 
@@ -84,7 +87,7 @@ func (e *Engine) execDescribe(st *sqlast.DescribeStmt) (*Result, error) {
 	for _, c := range t.Cols {
 		rows = append(rows, []Value{Text(c.Name), Text(c.TypeName), Bool(!c.NotNull)})
 	}
-	return &Result{Cols: []string{"Field", "Type", "Null"}, Rows: rows}, nil
+	return e.newResult(Result{Cols: []string{"Field", "Type", "Null"}, Rows: rows}), nil
 }
 
 // --- DCL ----------------------------------------------------------------
@@ -97,7 +100,7 @@ func (e *Engine) execGrant(st *sqlast.GrantStmt) (*Result, error) {
 	}
 	r, okr := e.cat.Roles[st.Role]
 	if !okr {
-		return nil, errValue("role %q does not exist", st.Role)
+		return nil, errNamed("role %q does not exist", st.Role)
 	}
 	if _, err := e.lookTable(st.Table); err != nil {
 		if _, isView := e.cat.Views[st.Table]; !isView {
@@ -114,20 +117,20 @@ func (e *Engine) execGrant(st *sqlast.GrantStmt) (*Result, error) {
 			r.Privs[st.Table][p] = true
 		}
 	}
-	return ok("GRANT")
+	return e.ok("GRANT")
 }
 
 func (e *Engine) execSetRole(st *sqlast.SetRoleStmt) (*Result, error) {
 	e.hit(pAuthSetRole)
 	if strings.EqualFold(st.Role, "NONE") {
 		e.sess.role = ""
-		return ok("SET ROLE NONE")
+		return e.ok("SET ROLE NONE")
 	}
 	if _, okr := e.cat.Roles[st.Role]; !okr {
-		return nil, errValue("role %q does not exist", st.Role)
+		return nil, errNamed("role %q does not exist", st.Role)
 	}
 	e.sess.role = st.Role
-	return ok("SET ROLE")
+	return e.ok("SET ROLE")
 }
 
 // --- TCL ----------------------------------------------------------------
@@ -138,55 +141,55 @@ func (e *Engine) execTxn(st *sqlast.TxnStmt) (*Result, error) {
 		e.hit(pTxnBegin)
 		if e.inTxn() {
 			e.hit(pTxnBeginNested)
-			return nil, errValue("a transaction is already in progress")
+			return nil, errTxnInProgress
 		}
 		e.txnStack = append(e.txnStack, e.cat.snapshot())
 		e.spNames = append(e.spNames, "")
-		return ok("BEGIN")
+		return e.ok("BEGIN")
 	case sqlt.Commit:
 		e.hit(pTxnCommit)
 		if !e.inTxn() {
 			e.hit(pTxnCommitNoTxn)
-			return nil, errValue("no transaction in progress")
+			return nil, errNoTxn
 		}
 		e.endTxn()
-		return ok("COMMIT")
+		return e.ok("COMMIT")
 	case sqlt.Rollback:
 		e.hit(pTxnRollback)
 		if !e.inTxn() {
 			e.hit(pTxnRollbackNoTxn)
-			return nil, errValue("no transaction in progress")
+			return nil, errNoTxn
 		}
 		e.cat = e.txnStack[0]
 		e.endTxn()
-		return ok("ROLLBACK")
+		return e.ok("ROLLBACK")
 	case sqlt.Savepoint:
 		e.hit(pTxnSavepoint)
 		if !e.inTxn() {
-			return nil, errValue("SAVEPOINT requires a transaction")
+			return nil, errSavepointNeedsTxn
 		}
 		e.txnStack = append(e.txnStack, e.cat.snapshot())
 		e.spNames = append(e.spNames, st.Name)
-		return ok("SAVEPOINT")
+		return e.ok("SAVEPOINT")
 	case sqlt.ReleaseSavepoint:
 		e.hit(pTxnRelease)
 		i := e.findSavepoint(st.Name)
 		if i < 0 {
-			return nil, errValue("savepoint %q does not exist", st.Name)
+			return nil, errNamed("savepoint %q does not exist", st.Name)
 		}
 		e.txnStack = e.txnStack[:i]
 		e.spNames = e.spNames[:i]
-		return ok("RELEASE")
+		return e.ok("RELEASE")
 	default: // RollbackToSavepoint
 		e.hit(pTxnRollbackTo)
 		i := e.findSavepoint(st.Name)
 		if i < 0 {
-			return nil, errValue("savepoint %q does not exist", st.Name)
+			return nil, errNamed("savepoint %q does not exist", st.Name)
 		}
 		e.cat = e.txnStack[i].snapshot()
 		e.txnStack = e.txnStack[:i+1]
 		e.spNames = e.spNames[:i+1]
-		return ok("ROLLBACK TO")
+		return e.ok("ROLLBACK TO")
 	}
 }
 
@@ -204,9 +207,9 @@ func (e *Engine) execSetTransaction(st *sqlast.SetTransactionStmt) (*Result, err
 	switch st.Mode {
 	case "READ COMMITTED", "READ UNCOMMITTED", "REPEATABLE READ", "SERIALIZABLE":
 		e.sess.isolation = st.Mode
-		return ok("SET TRANSACTION")
+		return e.ok("SET TRANSACTION")
 	default:
-		return nil, errValue("unknown isolation level %q", st.Mode)
+		return nil, errNamed("unknown isolation level %q", st.Mode)
 	}
 }
 
@@ -224,7 +227,7 @@ func (e *Engine) execLockTable(st *sqlast.LockTableStmt) (*Result, error) {
 		mode = "EXCLUSIVE"
 	}
 	t.locked = mode
-	return ok("LOCK")
+	return e.ok("LOCK")
 }
 
 // --- session -------------------------------------------------------------
@@ -242,13 +245,13 @@ func (e *Engine) execSetVar(st *sqlast.SetVarStmt) (*Result, error) {
 	} else {
 		e.sess.vars[name] = v
 	}
-	return ok("SET")
+	return e.ok("SET")
 }
 
 func (e *Engine) execResetVar(st *sqlast.ResetVarStmt) (*Result, error) {
 	e.hit(pResetVar)
 	delete(e.sess.vars, strings.ToLower(st.Name))
-	return ok("RESET")
+	return e.ok("RESET")
 }
 
 func (e *Engine) execPragma(st *sqlast.PragmaStmt) (*Result, error) {
@@ -259,23 +262,23 @@ func (e *Engine) execPragma(st *sqlast.PragmaStmt) (*Result, error) {
 		if !exists {
 			v = Null()
 		}
-		return &Result{Cols: []string{name}, Rows: [][]Value{{v}}}, nil
+		return e.newResult(Result{Cols: []string{name}, Rows: [][]Value{{v}}}), nil
 	}
 	v, err := e.eval(st.Value, emptyScope, 0)
 	if err != nil {
 		return nil, err
 	}
 	e.sess.vars["pragma."+name] = v
-	return ok("PRAGMA")
+	return e.ok("PRAGMA")
 }
 
 func (e *Engine) execUse(st *sqlast.UseStmt) (*Result, error) {
 	e.hit(pUseDB)
 	if !e.cat.Databases[st.DB] {
-		return nil, errValue("database %q does not exist", st.DB)
+		return nil, errNamed("database %q does not exist", st.DB)
 	}
 	e.sess.curDB = st.DB
-	return ok("USE")
+	return e.ok("USE")
 }
 
 func (e *Engine) execAnalyze(st *sqlast.AnalyzeStmt) (*Result, error) {
@@ -286,12 +289,12 @@ func (e *Engine) execAnalyze(st *sqlast.AnalyzeStmt) (*Result, error) {
 			return nil, err
 		}
 		t.analyzed = true
-		return ok("ANALYZE")
+		return e.ok("ANALYZE")
 	}
 	for _, n := range e.cat.tableNames() {
 		e.cat.Tables[n].analyzed = true
 	}
-	return ok("ANALYZE")
+	return e.ok("ANALYZE")
 }
 
 func (e *Engine) execVacuum(st *sqlast.VacuumStmt) (*Result, error) {
@@ -314,12 +317,12 @@ func (e *Engine) execVacuum(st *sqlast.VacuumStmt) (*Result, error) {
 			return nil, err
 		}
 		compact(t)
-		return ok("VACUUM")
+		return e.ok("VACUUM")
 	}
 	for _, n := range e.cat.tableNames() {
 		compact(e.cat.Tables[n])
 	}
-	return ok("VACUUM")
+	return e.ok("VACUUM")
 }
 
 func (e *Engine) execMaintenance(st *sqlast.MaintenanceStmt) (*Result, error) {
@@ -333,7 +336,7 @@ func (e *Engine) execMaintenance(st *sqlast.MaintenanceStmt) (*Result, error) {
 		copy(packed, t.Rows)
 		t.Rows = packed
 		t.analyzed = true
-		return ok("OPTIMIZE")
+		return e.ok("OPTIMIZE")
 	}
 	e.hit(pStorageCheck)
 	// CHECK TABLE verifies unique invariants.
@@ -348,27 +351,27 @@ func (e *Engine) execMaintenance(st *sqlast.MaintenanceStmt) (*Result, error) {
 			}
 			k := row[ci].Key()
 			if seen[k] {
-				return &Result{Msg: "CHECK: corrupt"}, nil
+				return e.newResult(Result{Msg: "CHECK: corrupt"}), nil
 			}
 			seen[k] = true
 		}
 	}
-	return &Result{Msg: "CHECK: OK"}, nil
+	return e.newResult(Result{Msg: "CHECK: OK"}), nil
 }
 
 func (e *Engine) execFlush(st *sqlast.FlushStmt) (*Result, error) {
 	e.hit(pStorageFlush)
 	switch st.What {
 	case "TABLES", "LOGS", "PRIVILEGES", "STATUS":
-		return ok("FLUSH")
+		return e.ok("FLUSH")
 	default:
-		return nil, errValue("unknown FLUSH target %q", st.What)
+		return nil, errNamed("unknown FLUSH target %q", st.What)
 	}
 }
 
 func (e *Engine) execCheckpoint(*sqlast.CheckpointStmt) (*Result, error) {
 	e.hit(pStorageCheckpoint)
-	return ok("CHECKPOINT")
+	return e.ok("CHECKPOINT")
 }
 
 func (e *Engine) execDiscard(st *sqlast.DiscardStmt) (*Result, error) {
@@ -396,29 +399,29 @@ func (e *Engine) execDiscard(st *sqlast.DiscardStmt) (*Result, error) {
 			s.Val = 0
 		}
 	default:
-		return nil, errValue("unknown DISCARD target %q", st.What)
+		return nil, errNamed("unknown DISCARD target %q", st.What)
 	}
-	return ok("DISCARD")
+	return e.ok("DISCARD")
 }
 
 func (e *Engine) execPrepare(st *sqlast.PrepareStmt) (*Result, error) {
 	e.hit(pPrepare)
 	if _, exists := e.sess.prepared[st.Name]; exists {
-		return nil, errValue("prepared statement %q already exists", st.Name)
+		return nil, errNamed("prepared statement %q already exists", st.Name)
 	}
 	e.sess.prepared[st.Name] = st.Stmt
-	return ok("PREPARE")
+	return e.ok("PREPARE")
 }
 
 func (e *Engine) execExecute(st *sqlast.ExecuteStmt) (*Result, error) {
 	e.hit(pExecPrepared)
 	s, exists := e.sess.prepared[st.Name]
 	if !exists {
-		return nil, errValue("prepared statement %q does not exist", st.Name)
+		return nil, errNamed("prepared statement %q does not exist", st.Name)
 	}
 	if e.triggerDepth >= e.limits.MaxTriggerDepth {
 		e.hit(pTriggerDepthCap)
-		return ok("EXECUTE (depth cap)")
+		return e.ok("EXECUTE (depth cap)")
 	}
 	e.triggerDepth++
 	defer func() { e.triggerDepth-- }()
@@ -428,30 +431,30 @@ func (e *Engine) execExecute(st *sqlast.ExecuteStmt) (*Result, error) {
 func (e *Engine) execDeallocate(st *sqlast.DeallocateStmt) (*Result, error) {
 	e.hit(pDeallocate)
 	if _, exists := e.sess.prepared[st.Name]; !exists {
-		return nil, errValue("prepared statement %q does not exist", st.Name)
+		return nil, errNamed("prepared statement %q does not exist", st.Name)
 	}
 	delete(e.sess.prepared, st.Name)
-	return ok("DEALLOCATE")
+	return e.ok("DEALLOCATE")
 }
 
 func (e *Engine) execDeclareCursor(st *sqlast.DeclareCursorStmt) (*Result, error) {
 	e.hit(pDeclareCursor)
 	if _, exists := e.sess.cursors[st.Name]; exists {
-		return nil, errValue("cursor %q already exists", st.Name)
+		return nil, errNamed("cursor %q already exists", st.Name)
 	}
 	rows, _, err := e.execSelect(st.Query, nil, 0)
 	if err != nil {
 		return nil, err
 	}
 	e.sess.cursors[st.Name] = &cursor{name: st.Name, rows: rows}
-	return ok("DECLARE CURSOR")
+	return e.ok("DECLARE CURSOR")
 }
 
 func (e *Engine) execFetch(st *sqlast.FetchStmt) (*Result, error) {
 	e.hit(pFetch)
 	c, exists := e.sess.cursors[st.Cursor]
 	if !exists {
-		return nil, errValue("cursor %q does not exist", st.Cursor)
+		return nil, errNamed("cursor %q does not exist", st.Cursor)
 	}
 	n := int(st.Count)
 	if n <= 0 {
@@ -465,22 +468,22 @@ func (e *Engine) execFetch(st *sqlast.FetchStmt) (*Result, error) {
 	if c.pos >= len(c.rows) {
 		e.hit(pFetchExhaust)
 	}
-	return &Result{Rows: rows, Msg: "FETCH"}, nil
+	return e.newResult(Result{Rows: rows, Msg: "FETCH"}), nil
 }
 
 func (e *Engine) execCloseCursor(st *sqlast.CloseCursorStmt) (*Result, error) {
 	e.hit(pCloseCursor)
 	if _, exists := e.sess.cursors[st.Name]; !exists {
-		return nil, errValue("cursor %q does not exist", st.Name)
+		return nil, errNamed("cursor %q does not exist", st.Name)
 	}
 	delete(e.sess.cursors, st.Name)
-	return ok("CLOSE")
+	return e.ok("CLOSE")
 }
 
 func (e *Engine) execListen(st *sqlast.ListenStmt) (*Result, error) {
 	e.hit(pListen)
 	e.sess.listening[st.Channel] = true
-	return ok("LISTEN")
+	return e.ok("LISTEN")
 }
 
 func (e *Engine) execNotify(st *sqlast.NotifyStmt) (*Result, error) {
@@ -489,7 +492,7 @@ func (e *Engine) execNotify(st *sqlast.NotifyStmt) (*Result, error) {
 		e.hit(pNotifyDeliver)
 		e.sess.notices = append(e.sess.notices, st.Channel+":"+st.Payload)
 	}
-	return ok("NOTIFY")
+	return e.ok("NOTIFY")
 }
 
 func (e *Engine) execUnlisten(st *sqlast.UnlistenStmt) (*Result, error) {
@@ -499,7 +502,7 @@ func (e *Engine) execUnlisten(st *sqlast.UnlistenStmt) (*Result, error) {
 	} else {
 		delete(e.sess.listening, st.Channel)
 	}
-	return ok("UNLISTEN")
+	return e.ok("UNLISTEN")
 }
 
 func (e *Engine) execCluster(st *sqlast.ClusterStmt) (*Result, error) {
@@ -521,7 +524,7 @@ func (e *Engine) execCluster(st *sqlast.ClusterStmt) (*Result, error) {
 			cols = ix.Cols
 		}
 	} else {
-		return nil, errValue("table %q has no clustering index", st.Table)
+		return nil, errNamed("table %q has no clustering index", st.Table)
 	}
 	// physically sort rows by the index columns
 	cidx := make([]int, 0, len(cols))
@@ -540,5 +543,5 @@ func (e *Engine) execCluster(st *sqlast.ClusterStmt) (*Result, error) {
 		}
 		return false
 	})
-	return ok("CLUSTER")
+	return e.ok("CLUSTER")
 }

@@ -17,6 +17,15 @@ type relation struct {
 	// qkeys caches the "qualifier.column" binding keys; rebuilding them per
 	// row dominates scan cost otherwise.
 	qkeys []string
+
+	// meta is the shared column metadata cols, qual and qkeys come from,
+	// when they do (colmeta.go); nil for computed relations such as joins.
+	meta *colMeta
+}
+
+// metaRelation returns a relation over rows whose columns are m's.
+func metaRelation(m *colMeta, rows [][]Value) *relation {
+	return &relation{cols: m.cols, qual: m.quals, qkeys: m.qkeys, meta: m, rows: rows}
 }
 
 // keyCache returns the qualified column keys, built once per relation.
@@ -88,13 +97,13 @@ func (e *Engine) execSelectTop(q *sqlast.SelectStmt) (*Result, error) {
 	} else {
 		e.hit(pExecRowsRes)
 	}
-	return &Result{Cols: cols, Rows: rows}, nil
+	return e.newResult(Result{Cols: cols, Rows: rows}), nil
 }
 
 // materializeInto creates a new table from a result set (SELECT INTO).
 func (e *Engine) materializeInto(name string, cols []string, rows [][]Value) (*Result, error) {
 	if _, exists := e.cat.Tables[name]; exists {
-		return nil, errValue("relation %q already exists", name)
+		return nil, errNamed("relation %q already exists", name)
 	}
 	t := &Table{Name: name}
 	for i, c := range cols {
@@ -109,7 +118,7 @@ func (e *Engine) materializeInto(name string, cols []string, rows [][]Value) (*R
 	// SELECT INTO is DQL-category but creates a table, so the schema
 	// fingerprint goes stale here rather than in dispatch.
 	e.fpValid = false
-	return &Result{Affected: len(rows), Msg: "SELECT INTO"}, nil
+	return e.newResult(Result{Affected: len(rows), Msg: "SELECT INTO"}), nil
 }
 
 func itoaSmall(n int) string { return strconv.Itoa(n) }
@@ -118,7 +127,7 @@ func itoaSmall(n int) string { return strconv.Itoa(n) }
 // the enclosing scope for correlated subqueries.
 func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]Value, []string, error) {
 	if depth > e.limits.MaxRewriteDepth+maxEvalDepth {
-		return nil, nil, errValue("query nesting too deep")
+		return nil, nil, errQueryTooDeep
 	}
 
 	// FROM
@@ -177,7 +186,7 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 				}
 			}
 		}
-		rel = &relation{cols: rel.cols, qual: rel.qual, rows: filtered}
+		rel = &relation{cols: rel.cols, qual: rel.qual, qkeys: rel.qkeys, meta: rel.meta, rows: filtered}
 	}
 
 	// Grouping / aggregation
@@ -567,7 +576,7 @@ func (e *Engine) execGrouped(q *sqlast.SelectStmt, rel *relation, outer *scope, 
 		var row []Value
 		for _, it := range q.Items {
 			if _, ok := it.X.(*sqlast.Star); ok {
-				return nil, nil, errValue("* is not valid with GROUP BY")
+				return nil, nil, errStarWithGroupBy
 			}
 			v, err := e.eval(it.X, gsc, depth+1)
 			if err != nil {
@@ -769,7 +778,7 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 			}
 		case "LEAD", "LAG":
 			if len(fc.Args) < 1 {
-				return errValue("%s expects an argument", name)
+				return errNamed("%s expects an argument", name)
 			}
 			off := 1
 			for n, i := range idxs {
@@ -807,7 +816,7 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 		default:
 			// aggregate OVER partition: whole-partition value
 			if !IsAggregate(name) {
-				return errValue("unsupported window function %s", name)
+				return errNamed("unsupported window function %s", name)
 			}
 			var group []map[string]Value
 			for _, i := range idxs {
@@ -980,7 +989,7 @@ func (e *Engine) evalInt(x sqlast.Expr, outer *scope, depth int) (int64, error) 
 	}
 	f, ok := v.numeric()
 	if !ok {
-		return 0, errValue("expected integer expression")
+		return 0, errExpectedInteger
 	}
 	return int64(f), nil
 }
@@ -1061,7 +1070,7 @@ func crossProduct(a, b *relation, maxRows int) *relation {
 func (e *Engine) fromRelation(ref sqlast.TableRef, outer *scope, depth int) (*relation, error) {
 	switch r := ref.(type) {
 	case *sqlast.BaseTable:
-		rel, err := e.resolveNamedRelation(r.Name, outer, depth)
+		cols, rows, err := e.resolveNamedRelation(r.Name, outer, depth)
 		if err != nil {
 			return nil, err
 		}
@@ -1069,11 +1078,7 @@ func (e *Engine) fromRelation(ref sqlast.TableRef, outer *scope, depth int) (*re
 		if r.Alias != "" {
 			q = r.Alias
 		}
-		qual := make([]string, len(rel.cols))
-		for i := range qual {
-			qual[i] = q
-		}
-		return &relation{cols: rel.cols, qual: qual, rows: rel.rows}, nil
+		return metaRelation(e.relMeta(q, cols), rows), nil
 
 	case *sqlast.SubqueryRef:
 		e.hit(pPlanSubquery)
@@ -1081,11 +1086,7 @@ func (e *Engine) fromRelation(ref sqlast.TableRef, outer *scope, depth int) (*re
 		if err != nil {
 			return nil, err
 		}
-		qual := make([]string, len(cols))
-		for i := range qual {
-			qual[i] = r.Alias
-		}
-		return &relation{cols: cols, qual: qual, rows: rows}, nil
+		return metaRelation(e.relMeta(r.Alias, cols), rows), nil
 
 	case *sqlast.JoinRef:
 		left, err := e.fromRelation(r.L, outer, depth)
@@ -1103,13 +1104,16 @@ func (e *Engine) fromRelation(ref sqlast.TableRef, outer *scope, depth int) (*re
 	}
 }
 
-// resolveNamedRelation resolves a name against CTEs, views, then tables.
-func (e *Engine) resolveNamedRelation(name string, outer *scope, depth int) (*relation, error) {
+// resolveNamedRelation resolves a name against CTEs, views, then tables,
+// returning the relation's column names and rows. A table's names are its
+// shared column metadata (colmeta.go): callers must not write through them
+// or hand them out without a copy.
+func (e *Engine) resolveNamedRelation(name string, outer *scope, depth int) ([]string, [][]Value, error) {
 	// CTE scope (innermost wins)
 	for i := len(e.cteFrames) - 1; i >= 0; i-- {
 		if rel, ok := e.cteFrames[i][name]; ok {
 			e.hit(pRewriteCTE)
-			return rel, nil
+			return rel.cols, rel.rows, nil
 		}
 	}
 	if v, ok := e.cat.Views[name]; ok {
@@ -1119,16 +1123,18 @@ func (e *Engine) resolveNamedRelation(name string, outer *scope, depth int) (*re
 			if len(v.Cols) > 0 {
 				cols = v.Cols
 			}
-			return &relation{cols: cols, qual: make([]string, len(cols)), rows: v.MatRows}, nil
+			return cols, v.MatRows, nil
 		}
 		e.hit(pPlanView)
 		if depth > e.limits.MaxRewriteDepth {
-			return nil, errValue("view nesting too deep")
+			return nil, nil, errViewTooDeep
 		}
 		rows, cols, err := e.execSelect(v.Query, outer, depth+1)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		// execSelect's column names are the query's own, fresh per
+		// execution, so the view's column list may rename them in place.
 		if len(v.Cols) > 0 {
 			for i := range cols {
 				if i < len(v.Cols) {
@@ -1136,20 +1142,16 @@ func (e *Engine) resolveNamedRelation(name string, outer *scope, depth int) (*re
 				}
 			}
 		}
-		return &relation{cols: cols, qual: make([]string, len(cols)), rows: rows}, nil
+		return cols, rows, nil
 	}
 	t, err := e.lookTable(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := e.checkPriv(name, "SELECT"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cols := make([]string, len(t.Cols))
-	for i := range t.Cols {
-		cols[i] = t.Cols[i].Name
-	}
-	return &relation{cols: cols, qual: make([]string, len(cols)), rows: t.Rows}, nil
+	return e.tableMeta(t).cols, t.Rows, nil
 }
 
 func (e *Engine) joinRelations(j *sqlast.JoinRef, left, right *relation, outer *scope, depth int) (*relation, error) {

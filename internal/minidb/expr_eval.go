@@ -45,7 +45,7 @@ const maxEvalDepth = 24
 // eval evaluates e in scope sc.
 func (e *Engine) eval(x sqlast.Expr, sc *scope, depth int) (Value, error) {
 	if depth > maxEvalDepth {
-		return Null(), errValue("expression nesting too deep")
+		return Null(), errExprTooDeep
 	}
 	if err := e.chargeStep(); err != nil {
 		return Null(), err
@@ -80,10 +80,10 @@ func (e *Engine) eval(x sqlast.Expr, sc *scope, depth int) (Value, error) {
 				return val, nil
 			}
 		}
-		return Null(), errValue("column %q does not exist", key)
+		return Null(), errNamed("column %q does not exist", key)
 
 	case *sqlast.Star:
-		return Null(), errValue("* is not valid in this context")
+		return Null(), errStarInValue
 
 	case *sqlast.Unary:
 		val, err := e.eval(v.X, sc, depth+1)
@@ -103,7 +103,7 @@ func (e *Engine) eval(x sqlast.Expr, sc *scope, depth int) (Value, error) {
 				if f, ok := val.numeric(); ok {
 					return Float(-f), nil
 				}
-				return Null(), errValue("cannot negate %s", val.String())
+				return Null(), errNamed("cannot negate %s", val.String())
 			}
 		case "NOT":
 			if val.IsNull() {
@@ -345,13 +345,13 @@ func (e *Engine) evalBinary(v *sqlast.Binary, sc *scope, depth int) (Value, erro
 			case "/":
 				if r.I == 0 {
 					e.hit(pEvalDivZero)
-					return Null(), errValue("division by zero")
+					return Null(), errDivByZero
 				}
 				return Int(l.I / r.I), nil
 			default:
 				if r.I == 0 {
 					e.hit(pEvalDivZero)
-					return Null(), errValue("division by zero")
+					return Null(), errDivByZero
 				}
 				return Int(l.I % r.I), nil
 			}
@@ -360,7 +360,7 @@ func (e *Engine) evalBinary(v *sqlast.Binary, sc *scope, depth int) (Value, erro
 		fl, okL := l.numeric()
 		fr, okR := r.numeric()
 		if !okL || !okR {
-			return Null(), errValue("non-numeric operand for %s", v.Op)
+			return Null(), errNamed("non-numeric operand for %s", v.Op)
 		}
 		switch v.Op {
 		case "+":
@@ -372,18 +372,18 @@ func (e *Engine) evalBinary(v *sqlast.Binary, sc *scope, depth int) (Value, erro
 		case "/":
 			if fr == 0 {
 				e.hit(pEvalDivZero)
-				return Null(), errValue("division by zero")
+				return Null(), errDivByZero
 			}
 			return Float(fl / fr), nil
 		default:
 			if fr == 0 {
 				e.hit(pEvalDivZero)
-				return Null(), errValue("division by zero")
+				return Null(), errDivByZero
 			}
 			return Float(math.Mod(fl, fr)), nil
 		}
 	default:
-		return Null(), errValue("unknown operator %q", v.Op)
+		return Null(), errNamed("unknown operator %q", v.Op)
 	}
 }
 

@@ -56,14 +56,14 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 				return v, nil
 			}
 		}
-		return Null(), errValue("window function %s requires a query context", name)
+		return Null(), errNamed("window function %s requires a query context", name)
 	}
 
 	if IsAggregate(name) {
 		return e.evalAggregate(fc, sc, depth)
 	}
 	if windowNames[name] {
-		return Null(), errValue("window function %s requires OVER", name)
+		return Null(), errNamed("window function %s requires OVER", name)
 	}
 
 	e.hit(pEvalFunc)
@@ -103,7 +103,7 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		if f, ok := v.numeric(); ok {
 			return Float(math.Abs(f)), nil
 		}
-		return Null(), errValue("ABS of non-numeric value")
+		return Null(), errAbsNonNumeric
 	case "LENGTH", "CHAR_LENGTH":
 		if err := need(1); err != nil {
 			return Null(), err
@@ -138,7 +138,7 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		return Text(strings.TrimSpace(args[0].String())), nil
 	case "SUBSTR", "SUBSTRING":
 		if len(args) < 2 || len(args) > 3 {
-			return Null(), errValue("SUBSTR expects 2 or 3 arguments")
+			return Null(), errSubstrArity
 		}
 		if args[0].IsNull() || args[1].IsNull() {
 			return Null(), nil
@@ -187,14 +187,14 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		return args[0], nil
 	case "ROUND":
 		if len(args) < 1 || len(args) > 2 {
-			return Null(), errValue("ROUND expects 1 or 2 arguments")
+			return Null(), errRoundArity
 		}
 		if args[0].IsNull() {
 			return Null(), nil
 		}
 		f, ok := args[0].numeric()
 		if !ok {
-			return Null(), errValue("ROUND of non-numeric value")
+			return Null(), errRoundNonNumeric
 		}
 		digits := 0.0
 		if len(args) == 2 {
@@ -229,7 +229,7 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		b, _ := args[1].numeric()
 		if b == 0 {
 			e.hit(pEvalDivZero)
-			return Null(), errValue("division by zero")
+			return Null(), errDivByZero
 		}
 		return Float(math.Mod(a, b)), nil
 	case "TYPEOF":
@@ -255,7 +255,7 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		e.hit(pEvalSeqNext)
 		sq, ok := e.cat.Sequences[args[0].String()]
 		if !ok {
-			return Null(), errValue("sequence %q does not exist", args[0].String())
+			return Null(), errNamed("sequence %q does not exist", args[0].String())
 		}
 		sq.Val += sq.Inc
 		return Int(sq.Val), nil
@@ -265,7 +265,7 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		}
 		sq, ok := e.cat.Sequences[args[0].String()]
 		if !ok {
-			return Null(), errValue("sequence %q does not exist", args[0].String())
+			return Null(), errNamed("sequence %q does not exist", args[0].String())
 		}
 		return Int(sq.Val), nil
 	case "GREATEST":
@@ -305,12 +305,12 @@ func (e *Engine) evalFunc(fc *sqlast.FuncCall, sc *scope, depth int) (Value, err
 		}
 		return CoerceToColumn(fn.Returns, v), nil
 	}
-	return Null(), errValue("unknown function %s", name)
+	return Null(), errNamed("unknown function %s", name)
 }
 
 func foldCompare(args []Value, take func(int) bool) (Value, error) {
 	if len(args) == 0 {
-		return Null(), errValue("GREATEST/LEAST need at least one argument")
+		return Null(), errGreatestNoArgs
 	}
 	best := args[0]
 	for _, a := range args[1:] {
@@ -329,7 +329,7 @@ func (e *Engine) evalAggregate(fc *sqlast.FuncCall, sc *scope, depth int) (Value
 	name := strings.ToUpper(fc.Name)
 	group := sc.group
 	if group == nil {
-		return Null(), errValue("aggregate %s used outside grouping context", name)
+		return Null(), errNamed("aggregate %s used outside grouping context", name)
 	}
 	e.hit(pExecAggregate)
 	if len(group) == 0 {
@@ -339,12 +339,12 @@ func (e *Engine) evalAggregate(fc *sqlast.FuncCall, sc *scope, depth int) (Value
 	// COUNT(*)
 	if fc.Star {
 		if name != "COUNT" {
-			return Null(), errValue("%s(*) is not valid", name)
+			return Null(), errNamed("%s(*) is not valid", name)
 		}
 		return Int(int64(len(group))), nil
 	}
 	if len(fc.Args) != 1 {
-		return Null(), errValue("aggregate %s expects one argument", name)
+		return Null(), errNamed("aggregate %s expects one argument", name)
 	}
 
 	var vals []Value
@@ -384,7 +384,7 @@ func (e *Engine) evalAggregate(fc *sqlast.FuncCall, sc *scope, depth int) (Value
 		for _, v := range vals {
 			f, ok := v.numeric()
 			if !ok {
-				return Null(), errValue("SUM of non-numeric value")
+				return Null(), errSumNonNumeric
 			}
 			fs += f
 			if v.K == KInt {
@@ -405,7 +405,7 @@ func (e *Engine) evalAggregate(fc *sqlast.FuncCall, sc *scope, depth int) (Value
 		for _, v := range vals {
 			f, ok := v.numeric()
 			if !ok {
-				return Null(), errValue("AVG of non-numeric value")
+				return Null(), errAvgNonNumeric
 			}
 			fs += f
 		}
@@ -442,6 +442,6 @@ func (e *Engine) evalAggregate(fc *sqlast.FuncCall, sc *scope, depth int) (Value
 		}
 		return Text(strings.Join(parts, ",")), nil
 	default:
-		return Null(), errValue("unknown aggregate %s", name)
+		return Null(), errNamed("unknown aggregate %s", name)
 	}
 }

@@ -60,36 +60,43 @@ func runCase(e *minidb.Engine, tc sqlast.TestCase) (string, []coverage.EdgeState
 	return sb.String(), m.Export()
 }
 
-// TestReusedEngineMatchesFreshEngine is the differential oracle for the
-// in-place reset: one long-lived engine, reset between test cases, must
-// behave exactly like a brand-new engine per test case — same results,
-// same error strings, same crashes, same coverage. It runs the harness
-// seed corpus, the MERGE scope-reuse case and a few thousand instantiated
-// test cases in every dialect with hazards armed.
-func TestReusedEngineMatchesFreshEngine(t *testing.T) {
+// oracleCases is the differential oracles' corpus for dialect d: the
+// harness seed corpus, the MERGE scope-reuse case and a few thousand
+// instantiated test cases (a few hundred under -short).
+func oracleCases(d sqlt.Dialect) []sqlast.TestCase {
 	perDialect := 1500
 	if testing.Short() {
 		perDialect = 200
 	}
+	cases := harness.InitialSeeds(d)
+	cases = append(cases, sqlparse.MustParseScript(mergeScript))
+	rng := rand.New(rand.NewSource(0x5EED + int64(d)))
+	lib := instantiate.NewLibrary()
+	for _, tc := range cases {
+		lib.Harvest(tc)
+	}
+	in := instantiate.New(rng, lib, d)
+	types := d.Types()
+	for i := 0; i < perDialect; i++ {
+		seq := make(sqlt.Sequence, 1+rng.Intn(8))
+		for j := range seq {
+			seq[j] = types[rng.Intn(len(types))]
+		}
+		cases = append(cases, in.TestCase(seq))
+	}
+	return cases
+}
+
+// TestReusedEngineMatchesFreshEngine is the differential oracle for the
+// in-place reset: one long-lived engine, reset between test cases, must
+// behave exactly like a brand-new engine per test case — same results,
+// same error strings, same crashes, same coverage. It runs the oracle
+// corpus in every dialect with hazards armed.
+func TestReusedEngineMatchesFreshEngine(t *testing.T) {
 	for _, d := range sqlt.Dialects() {
 		t.Run(d.String(), func(t *testing.T) {
 			cfg := minidb.Config{Dialect: d, EnableHazards: true}
-			cases := harness.InitialSeeds(d)
-			cases = append(cases, sqlparse.MustParseScript(mergeScript))
-			rng := rand.New(rand.NewSource(0x5EED + int64(d)))
-			lib := instantiate.NewLibrary()
-			for _, tc := range cases {
-				lib.Harvest(tc)
-			}
-			in := instantiate.New(rng, lib, d)
-			types := d.Types()
-			for i := 0; i < perDialect; i++ {
-				seq := make(sqlt.Sequence, 1+rng.Intn(8))
-				for j := range seq {
-					seq[j] = types[rng.Intn(len(types))]
-				}
-				cases = append(cases, in.TestCase(seq))
-			}
+			cases := oracleCases(d)
 
 			long := minidb.New(cfg)
 			crashes := 0

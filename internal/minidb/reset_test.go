@@ -94,12 +94,38 @@ func assertFresh(t *testing.T, e *Engine) {
 			t.Errorf("reset left a snapshot reachable in txnStack's backing array")
 		}
 	}
+	// The result arena is rewound and zeroed, so no earlier test case's
+	// rows stay reachable through it.
+	if e.results.used != 0 {
+		t.Errorf("result arena not rewound: %d results in use", e.results.used)
+	}
+	for i := range e.results.block {
+		if !reflect.DeepEqual(e.results.block[i], Result{}) {
+			t.Errorf("result arena slot %d still holds %+v", i, e.results.block[i])
+		}
+	}
+	// The INSERT scratch stacks are empty, and popping zeroed the values
+	// and rows they held.
+	if n := len(e.insTargets) + len(e.insVals) + len(e.insRows); n != 0 {
+		t.Errorf("INSERT scratch stacks hold %d entries", n)
+	}
+	for _, v := range e.insVals[:cap(e.insVals)] {
+		if v != (Value{}) {
+			t.Errorf("INSERT value stack still holds %v", v)
+		}
+	}
+	for _, r := range e.insRows[:cap(e.insRows)] {
+		if r != nil {
+			t.Errorf("INSERT row stack still holds %v", r)
+		}
+	}
 }
 
 // TestResetIsComplete dirties every catalog map and session field, then
 // either leaves a transaction open (with a released savepoint's snapshot
 // still in txnStack's backing array) or rolls it back, and checks that the
-// next test case starts from exactly a new engine's state. Because the
+// next test case starts from exactly a new engine's state, with the result
+// arena rewound and zeroed and the INSERT scratch stacks empty. Because the
 // check walks the struct fields, a field added later that reset forgets
 // fails here, and so does one the dirty script forgets to touch.
 func TestResetIsComplete(t *testing.T) {
@@ -116,6 +142,10 @@ func TestResetIsComplete(t *testing.T) {
 				e.RunTestCase(sqlparse.MustParseScript(dirtyScript + v.tail))
 				if e.inTxn() != (v.tail == "") {
 					t.Fatalf("dirty script left inTxn=%v", e.inTxn())
+				}
+				if e.results.used == 0 || len(e.insVals) != 0 || cap(e.insVals) == 0 {
+					t.Fatalf("dirty script left %d arena results and INSERT value stack len %d cap %d; want results, an empty stack with storage",
+						e.results.used, len(e.insVals), cap(e.insVals))
 				}
 				for _, f := range fieldDiff(e.cat, NewCatalog()) {
 					dirty["Catalog."+f] = true

@@ -8,7 +8,6 @@
 package minidb
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -244,18 +243,3 @@ func affinity(typeName string) Kind {
 		return KText
 	}
 }
-
-// errValue builds a typed execution error.
-func errValue(format string, args ...any) error {
-	return &ExecError{Msg: fmt.Sprintf(format, args...)}
-}
-
-// ExecError is a recoverable SQL execution error (semantic errors, constraint
-// violations). It corresponds to the server returning an error to the
-// client; fuzzing continues with the next statement.
-type ExecError struct {
-	Msg string
-}
-
-// Error implements error.
-func (e *ExecError) Error() string { return e.Msg }

@@ -58,6 +58,55 @@ INSERT INTO t VALUES (2);
 	}
 }
 
+// TestExecScriptResultsStayIntact runs a script long enough that the
+// engine's result arena fills several blocks, then checks every returned
+// result. It also checks that TABLE's column names are the caller's own
+// copy: writing to them must not reach the engine's shared table metadata.
+func TestExecScriptResultsStayIntact(t *testing.T) {
+	db := lego.Open(lego.PostgreSQL)
+	var sb strings.Builder
+	sb.WriteString("CREATE TABLE t (a INT, b TEXT);\n")
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&sb, "INSERT INTO t VALUES (%d, 'v%d');\n", i, i)
+		fmt.Fprintf(&sb, "SELECT b, a FROM t WHERE a = %d;\n", i)
+	}
+	sb.WriteString("TABLE t;\n")
+	results, err := db.ExecScript(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 202 {
+		t.Fatalf("%d results, want 202", len(results))
+	}
+	if r := results[0]; r.Msg != "CREATE TABLE" {
+		t.Fatalf("result 0 = %+v", r)
+	}
+	for i := 0; i < 100; i++ {
+		ins, sel := results[1+2*i], results[2+2*i]
+		if ins.Msg != "INSERT" || ins.Affected != 1 {
+			t.Fatalf("INSERT %d result = %+v", i, ins)
+		}
+		want := fmt.Sprintf("[[v%d %d]]", i, i)
+		if got := fmt.Sprint(sel.Rows); got != want || fmt.Sprint(sel.Columns) != "[b a]" {
+			t.Fatalf("SELECT %d result = %v %s, want [b a] %s", i, sel.Columns, got, want)
+		}
+	}
+	table := results[201]
+	if fmt.Sprint(table.Columns) != "[a b]" || len(table.Rows) != 100 {
+		t.Fatalf("TABLE result = %v with %d rows", table.Columns, len(table.Rows))
+	}
+	table.Columns[0] = "clobbered"
+	for _, q := range []string{"TABLE t", "SELECT * FROM t WHERE a = 1"} {
+		res, err := db.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(res.Columns) != "[a b]" {
+			t.Fatalf("%s after writing to TABLE's columns: %v", q, res.Columns)
+		}
+	}
+}
+
 func TestDialectGatingThroughFacade(t *testing.T) {
 	db := lego.Open(lego.Comdb2)
 	if _, err := db.Exec("NOTIFY ch"); err == nil {
