@@ -116,8 +116,8 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	})
 
 	// Compiled statement execution over a full (128-row) table. The ceiling
-	// is a fixed per-statement cost (result assembly, prepared machines,
-	// filtered rows) that does NOT scale with the scanned rows: per-row
+	// is a fixed per-statement cost (result assembly, filtered rows, sort
+	// keys; machines come from the engine's arena) that does NOT scale with the scanned rows: per-row
 	// evaluation on the compiled path — slot reads, comparisons, coverage
 	// probes — must be allocation-free. On the interpreter this statement
 	// cost a scope map write per row per column.
@@ -138,8 +138,41 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	if _, err := eng.ExecStmt(sel); err != nil { // warm the plan cache
 		t.Fatal(err)
 	}
-	check("ExecStmt-compiled", 26, func() {
+	check("ExecStmt-compiled", 13, func() {
 		_, _ = eng.ExecStmt(sel)
+	})
+
+	// Warm compiled SELECT over a small table: the plan is cached, the
+	// machines come from the engine's arena and the per-item programs from
+	// its scratch stack, so what allocates is the result: the filtered and
+	// output row slices, the two output rows and the column names.
+	small := sqlparse.MustParseScript("SELECT b, a + 1 FROM big WHERE a < 2;")[0]
+	if _, err := eng.ExecStmt(small); err != nil {
+		t.Fatal(err)
+	}
+	check("SELECT-compiled", 10, func() {
+		_, _ = eng.ExecStmt(small)
+	})
+
+	// Warm two-table JOIN: the join's column metadata comes from the
+	// content-keyed cache and its probe row and scope from the join scratch
+	// stack, so only the joined rows and the result allocate.
+	join := minidb.New(minidb.Config{Dialect: sqlt.DialectMySQL})
+	for _, s := range sqlparse.MustParseScript(`
+CREATE TABLE t1 (v1 INT, v2 INT);
+CREATE TABLE t2 (v1 INT, v2 INT);
+INSERT INTO t1 VALUES (1, 5), (2, 6), (3, 1);
+INSERT INTO t2 VALUES (1, 7), (2, 8), (4, 9);
+`) {
+		if _, err := join.ExecStmt(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := join.ExecStmt(stmt); err != nil {
+		t.Fatal(err)
+	}
+	check("SELECT-join", 28, func() {
+		_, _ = join.ExecStmt(stmt)
 	})
 
 	// SQL errors: about a third of fuzzed statements fail, and nothing on

@@ -53,6 +53,10 @@ type Runner struct {
 	// retiredPlanStats accumulates plan-cache counters from engines retired
 	// by quarantine, so PlanStats covers the whole campaign.
 	retiredPlanStats minidb.PlanStats
+
+	// types is the executed case's statement-type sequence, refilled per
+	// execution; GenAff.Analyze reads it without keeping it.
+	types sqlt.Sequence
 }
 
 // NewRunner builds a runner for one campaign.
@@ -96,7 +100,11 @@ func (r *Runner) Execute(tc sqlast.TestCase) (novel bool, newEdges int, crash *m
 	r.Eng.SetExec(r.Execs)
 	out := r.runContained(tc)
 	novel, newEdges = r.Cov.Accumulate(tr)
-	r.GenAff.Analyze(tc.Types())
+	r.types = r.types[:0]
+	for _, s := range tc {
+		r.types = append(r.types, s.Type())
+	}
+	r.GenAff.Analyze(r.types)
 	r.Execs++
 	r.Stmts += out.Executed
 	if out.Crash != nil {

@@ -271,7 +271,7 @@ func (f *Fixer) fixStmt(stmt sqlast.Statement, sch *simSchema) {
 		if _, exists := sch.tables[st.Name]; exists && !st.IfNotExists {
 			st.Name = sch.freshName("t")
 		}
-		var cols []string
+		cols := make([]string, 0, len(st.Cols))
 		for i := range st.Cols {
 			cols = append(cols, st.Cols[i].Name)
 			if st.Cols[i].References != nil {

@@ -1,28 +1,27 @@
 package minidb
 
 // Shared column metadata (DESIGN.md §9). Every statement that reads a table
-// needs the same derived slices: the column names, the qualifier per column,
-// the "qual.col" binding keys and the compile-time layout. Fuzzing recreates
-// the same few tables case after case, so the engine builds them once per
-// distinct (qualifier, column names) pair and shares them from a bounded,
-// content-keyed cache that survives reset.
+// or joins two relations needs the same derived slices: the column names,
+// the qualifier per column, the "qual.col" binding keys and the compile-time
+// layout. Fuzzing recreates the same few tables and joins case after case,
+// so the engine builds them once per distinct list of (qualifier, column
+// name) pairs and shares them from a bounded, content-keyed cache that
+// survives reset.
 //
 // The cache is derived state, like the plan cache: it is never checkpointed,
 // and at its cap it is cleared wholesale. Every lookup re-validates the
-// entry it finds against the names asked for, so ALTER, RENAME, DROP and
+// entry it finds against the columns asked for, so ALTER, RENAME, DROP and
 // CREATE, ROLLBACK and hash collisions can never hand out stale metadata.
 // The shared slices are read-only: no caller may write through one or
 // return one to a caller outside the engine without copying it.
 
-import "slices"
-
-// colMeta is the metadata of one (qualifier, column names) pair. The
-// qualifier is a table's name, or the alias a FROM item gives it.
+// colMeta is the metadata of one list of qualified columns. A qualifier is
+// a table's name, the alias a FROM item gives it, or "" for an unaliased
+// subquery; a join's columns carry each side's qualifiers.
 type colMeta struct {
-	qual  string
 	cols  []string // column names
-	quals []string // qual per column
-	qkeys []string // "qual.col" per column ("" per column when qual is "")
+	quals []string // qualifier per column
+	qkeys []string // "qual.col" per column ("" where the qual is "")
 	// tabKeys are Engine.rowScope's qualified keys: "qual.col" per column,
 	// even when qual is "". They differ from qkeys only then.
 	tabKeys []string
@@ -33,27 +32,23 @@ type colMeta struct {
 	relLay layout
 }
 
-// newColMeta builds the metadata of cols qualified by qual; it copies
-// nothing from its caller but the strings.
-func newColMeta(qual string, names []string) *colMeta {
-	n := len(names)
-	m := &colMeta{
-		qual:  qual,
-		cols:  append(make([]string, 0, n), names...),
-		quals: make([]string, n),
-		qkeys: make([]string, n),
-	}
-	for i, c := range names {
-		m.quals[i] = qual
-		if qual != "" {
-			m.qkeys[i] = qual + "." + c
+// newColMeta builds the metadata of cols qualified per column by quals; it
+// keeps both slices, so the caller must not use them afterwards.
+func newColMeta(cols, quals []string) *colMeta {
+	m := &colMeta{cols: cols, quals: quals, qkeys: make([]string, len(cols))}
+	bare := false
+	for i, c := range cols {
+		if quals[i] != "" {
+			m.qkeys[i] = quals[i] + "." + c
+		} else {
+			bare = true
 		}
 	}
 	m.tabKeys = m.qkeys
-	if qual == "" {
-		m.tabKeys = make([]string, n)
-		for i, c := range names {
-			m.tabKeys[i] = "." + c
+	if bare {
+		m.tabKeys = make([]string, len(cols))
+		for i, c := range cols {
+			m.tabKeys[i] = quals[i] + "." + c
 		}
 	}
 	m.tabLay = layout{frames: []frame{{keys: m.cols, qkeys: m.tabKeys, lastWins: true}}}
@@ -66,58 +61,95 @@ func newColMeta(qual string, names []string) *colMeta {
 // and PostgreSQL peak near 350 entries.
 const colMetaCap = 1024
 
-// colMetaKey is the 128-bit content hash of a (qualifier, names) pair.
+// colMetaKey is the 128-bit content hash of a list of qualified columns.
 type colMetaKey struct{ h1, h2 uint64 }
+
+// colSpan is a run of columns a lookup reads in place: the names come from
+// tcols when it is non-nil and from names otherwise, and each column is
+// qualified by quals[i] when quals is non-nil and by qual otherwise.
+type colSpan struct {
+	tcols []Column
+	names []string
+	quals []string
+	qual  string
+}
+
+func (s *colSpan) len() int {
+	if s.tcols != nil {
+		return len(s.tcols)
+	}
+	return len(s.names)
+}
+
+func (s *colSpan) name(i int) string {
+	if s.tcols != nil {
+		return s.tcols[i].Name
+	}
+	return s.names[i]
+}
+
+func (s *colSpan) qualOf(i int) string {
+	if s.quals != nil {
+		return s.quals[i]
+	}
+	return s.qual
+}
 
 // tableMeta returns t's column metadata, qualified by the table's name.
 func (e *Engine) tableMeta(t *Table) *colMeta {
-	h := newHash128()
-	h.str(t.Name)
-	h.int(len(t.Cols))
-	for i := range t.Cols {
-		h.str(t.Cols[i].Name)
-	}
-	key := colMetaKey{h.h1, h.h2}
-	if m, ok := e.metas[key]; ok && m.qual == t.Name && len(m.cols) == len(t.Cols) {
-		match := true
-		for i := range t.Cols {
-			if m.cols[i] != t.Cols[i].Name {
-				match = false
-				break
-			}
-		}
-		if match {
-			return m
-		}
-	}
-	names := make([]string, len(t.Cols))
-	for i := range t.Cols {
-		names[i] = t.Cols[i].Name
-	}
-	return e.storeMeta(key, newColMeta(t.Name, names))
+	return e.lookupMeta(colSpan{tcols: t.Cols, qual: t.Name}, colSpan{})
 }
 
 // relMeta returns the metadata of names qualified by qual.
 func (e *Engine) relMeta(qual string, names []string) *colMeta {
-	h := newHash128()
-	h.str(qual)
-	h.int(len(names))
-	for _, c := range names {
-		h.str(c)
-	}
-	key := colMetaKey{h.h1, h.h2}
-	if m, ok := e.metas[key]; ok && m.qual == qual && slices.Equal(m.cols, names) {
-		return m
-	}
-	return e.storeMeta(key, newColMeta(qual, names))
+	return e.lookupMeta(colSpan{names: names, qual: qual}, colSpan{})
 }
 
-// storeMeta caches m under key, replacing a collided entry and clearing the
-// cache at its cap.
-func (e *Engine) storeMeta(key colMetaKey, m *colMeta) *colMeta {
+// joinMeta returns the metadata of l's columns followed by r's, each with
+// its own qualifier.
+func (e *Engine) joinMeta(l, r *relation) *colMeta {
+	return e.lookupMeta(colSpan{names: l.cols, quals: l.quals}, colSpan{names: r.cols, quals: r.quals})
+}
+
+// lookupMeta returns the cached metadata of a's columns followed by b's,
+// hashing and comparing both spans where they lie; only a miss builds the
+// concatenated slices.
+func (e *Engine) lookupMeta(a, b colSpan) *colMeta {
+	na, n := a.len(), a.len()+b.len()
+	h := newHash128()
+	h.int(n)
+	for _, s := range [2]*colSpan{&a, &b} {
+		for i := 0; i < s.len(); i++ {
+			h.str(s.qualOf(i))
+			h.str(s.name(i))
+		}
+	}
+	key := colMetaKey{h.h1, h.h2}
+	if m, ok := e.metas[key]; ok && len(m.cols) == n && a.matches(m, 0) && b.matches(m, na) {
+		return m
+	}
+	cols, quals := make([]string, n), make([]string, n)
+	for i := 0; i < n; i++ {
+		s, j := &a, i
+		if i >= na {
+			s, j = &b, i-na
+		}
+		cols[i], quals[i] = s.name(j), s.qualOf(j)
+	}
 	if e.metas == nil || len(e.metas) >= colMetaCap {
 		e.metas = make(map[colMetaKey]*colMeta, 64)
 	}
+	m := newColMeta(cols, quals)
 	e.metas[key] = m
 	return m
+}
+
+// matches reports whether m's columns from off on begin with s's.
+func (s *colSpan) matches(m *colMeta, off int) bool {
+	for i := 0; i < s.len(); i++ {
+		if m.cols[off+i] != s.name(i) || m.quals[off+i] != s.qualOf(i) {
+			return false
+		}
+	}
+	return true
 }

@@ -10,11 +10,11 @@ import (
 
 // TestColMetaRevalidates plants wrong entries under the key a table's
 // content hashes to — what a hash collision would leave there — and checks
-// that both lookups rebuild the entry instead of handing it out.
+// that every lookup rebuilds the entry instead of handing it out.
 func TestColMetaRevalidates(t *testing.T) {
 	e := New(Config{Dialect: sqlt.DialectPostgres})
 	tb := &Table{Name: "t", Cols: []Column{{Name: "a"}, {Name: "b"}}}
-	want := newColMeta("t", []string{"a", "b"})
+	want := qualifiedMeta("t", []string{"a", "b"})
 	if got := e.tableMeta(tb); !reflect.DeepEqual(got, want) {
 		t.Fatalf("first lookup: %+v, want %+v", *got, *want)
 	}
@@ -25,10 +25,15 @@ func TestColMetaRevalidates(t *testing.T) {
 	for k := range e.metas {
 		key = k
 	}
+	// A join of t(a) with t(b) has the same qualified columns as t(a, b),
+	// so all three lookups share one entry.
+	l := &relation{colMeta: e.relMeta("t", []string{"a"})}
+	r := &relation{colMeta: e.relMeta("t", []string{"b"})}
 	for _, wrong := range []*colMeta{
-		newColMeta("u", []string{"a", "b"}),
-		newColMeta("t", []string{"a", "c"}),
-		newColMeta("t", []string{"a"}),
+		qualifiedMeta("u", []string{"a", "b"}),
+		qualifiedMeta("t", []string{"a", "c"}),
+		qualifiedMeta("t", []string{"a"}),
+		newColMeta([]string{"a", "b"}, []string{"t", "u"}),
 	} {
 		e.metas[key] = wrong
 		if got := e.tableMeta(tb); !reflect.DeepEqual(got, want) {
@@ -37,6 +42,10 @@ func TestColMetaRevalidates(t *testing.T) {
 		e.metas[key] = wrong
 		if got := e.relMeta("t", []string{"a", "b"}); !reflect.DeepEqual(got, want) {
 			t.Errorf("relMeta handed out %+v for t(a, b)", *got)
+		}
+		e.metas[key] = wrong
+		if got := e.joinMeta(l, r); !reflect.DeepEqual(got, want) {
+			t.Errorf("joinMeta handed out %+v for t(a) ⧺ t(b)", *got)
 		}
 	}
 }

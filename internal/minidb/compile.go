@@ -3,10 +3,10 @@ package minidb
 // Compiled expression programs (DESIGN.md §9): a one-pass compiler lowers a
 // sqlast.Expr into a closure program whose column references are resolved at
 // compile time to positional slots in the row being scanned, eliminating
-// per-row tree dispatch and per-column map hashing. Programs are cached per
-// engine by (expression shape, layout signature, schema fingerprint) — see
-// plan_cache.go — so the mutate loop, triage replays, and checkpoint resumes
-// skip compilation entirely.
+// per-row tree dispatch and per-column map hashing. A program reads nothing
+// but the expression and the layout, so programs are cached per engine by
+// (expression shape, layout signature) — see plan_cache.go — and the mutate
+// loop, triage replays, and checkpoint resumes skip compilation entirely.
 //
 // The coverage-equivalence contract: a compiled program must perform exactly
 // the same depth checks, watchdog charges, and coverage probes, in exactly
@@ -95,16 +95,6 @@ func (l *layout) equal(o *layout) bool {
 		}
 	}
 	return true
-}
-
-// relLayout returns the layout mirroring rel.scopeRowInto: every column
-// binds its name and (when qualified) "qual.name", leftmost duplicate
-// winning. A relation over shared column metadata shares its layout too.
-func relLayout(rel *relation) layout {
-	if rel.meta != nil {
-		return rel.meta.relLay
-	}
-	return layout{frames: []frame{{keys: rel.cols, qkeys: rel.keyCache()}}}
 }
 
 // tableLayout returns the layout mirroring Engine.rowScope(t, row): name and

@@ -220,20 +220,72 @@ SELECT z FROM t WHERE a = 10;
 	}
 }
 
-// TestSchemaFingerprint: the fingerprint is content-based, so structure-
-// preserving dispatches (TCL, reruns) keep it stable while DDL that changes
-// structure moves it.
-func TestSchemaFingerprint(t *testing.T) {
+// TestPlanCacheIgnoresUnreadSchema: a compiled program reads only its
+// expression shape and its layout, so the cache key holds nothing else. A
+// SELECT compiled before an unrelated CREATE TABLE is still a hit after it,
+// and a change of column types, which keeps the layout, reuses the program
+// and stays equivalent to the interpreter.
+func TestPlanCacheIgnoresUnreadSchema(t *testing.T) {
 	e := New(Config{Dialect: sqlt.DialectMySQL})
-	run(t, e, `CREATE TABLE t (a INT, b INT);`)
-	fp1 := e.schemaFingerprint()
-	run(t, e, `CREATE TABLE t (a INT, b INT);`)
-	if fp2 := e.schemaFingerprint(); fp2 != fp1 {
-		t.Fatalf("identical schema, different fingerprint: %x vs %x", fp1, fp2)
+	run(t, e, `
+CREATE TABLE t (a INT, b INT);
+INSERT INTO t VALUES (1, 10), (2, 20);
+SELECT b FROM t WHERE a = 1;
+`)
+	base := e.PlanStats()
+	run(t, e, `
+CREATE TABLE t (a INT, b INT);
+INSERT INTO t VALUES (1, 10), (2, 20);
+CREATE TABLE unrelated (x TEXT);
+SELECT b FROM t WHERE a = 1;
+`)
+	if st := e.PlanStats(); st.Compiles != base.Compiles || st.Hits <= base.Hits {
+		t.Fatalf("SELECT after an unrelated CREATE TABLE missed the cache: before %+v, after %+v", base, st)
 	}
-	run(t, e, `CREATE TABLE t (a INT, b INT); ALTER TABLE t ADD COLUMN c INT;`)
-	if fp3 := e.schemaFingerprint(); fp3 == fp1 {
-		t.Fatalf("ALTER ADD COLUMN left fingerprint unchanged: %x", fp3)
+
+	const typed = `
+CREATE TABLE t (a TEXT, b FLOAT);
+INSERT INTO t VALUES ('1', 1.5), (' 2', 2.5), ('x', 3.5);
+SELECT b FROM t WHERE a = 1;
+SELECT b FROM t WHERE a = 2 ORDER BY b DESC;
+`
+	interp := New(Config{Dialect: sqlt.DialectMySQL, DisablePlanCache: true})
+	runEquiv(e, `CREATE TABLE t (a INT, b INT); SELECT b FROM t WHERE a = 2 ORDER BY b DESC;`)
+	before := e.PlanStats()
+	outC, covC := runEquiv(e, typed)
+	outI, covI := runEquiv(interp, typed)
+	if st := e.PlanStats(); st.Compiles != before.Compiles {
+		t.Fatalf("type-only change recompiled: before %+v, after %+v", before, st)
+	}
+	if outC != outI {
+		t.Fatalf("after a type-only change the outcomes diverged\ncompiled:\n%s\ninterpreter:\n%s", outC, outI)
+	}
+	if !reflect.DeepEqual(covC, covI) {
+		t.Fatalf("after a type-only change the coverage diverged")
+	}
+}
+
+// TestPlanCacheRevalidatesLayout: with the layout the only schema a
+// program depends on, a hit must verify it in full. A program planted under
+// the key another layout hashes to — what a signature collision would leave
+// there — is recompiled, never handed out.
+func TestPlanCacheRevalidatesLayout(t *testing.T) {
+	e := New(Config{Dialect: sqlt.DialectMySQL})
+	x := sqlparse.MustParseScript(`SELECT a FROM t WHERE a = 1;`)[0].(*sqlast.SelectStmt).Where
+	ab := qualifiedMeta("t", []string{"a", "b"}).tabLay
+	ba := qualifiedMeta("t", []string{"b", "a"}).tabLay
+	planted := e.compiledFor(x, ab)
+	h := newHash128()
+	shapeHash(&h, x)
+	l1, l2 := ba.signature()
+	e.plans.m[planKey{s1: h.h1, s2: h.h2, l1: l1, l2: l2}] = planted
+	before := e.PlanStats()
+	p := e.compiledFor(x, ba)
+	if p == planted || !p.lay.equal(&ba) {
+		t.Fatalf("cache handed out the program compiled for (a, b) to layout (b, a)")
+	}
+	if st := e.PlanStats(); st.Compiles != before.Compiles+1 {
+		t.Fatalf("colliding entry was not recompiled: before %+v, after %+v", before, st)
 	}
 }
 

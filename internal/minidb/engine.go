@@ -135,7 +135,7 @@ type Engine struct {
 	rewriteDepth int
 	stepsUsed    int // watchdog charge within the current top-level statement
 	stmtIndex    int
-	cteFrames    []map[string]*relation
+	cteFrames    []map[string]cteRows
 
 	// rewrite-component flags for the case-study bug path
 	inWCTERewrite     bool
@@ -164,12 +164,18 @@ type Engine struct {
 
 	// compiled-plan state (plan_cache.go). The cache survives reset():
 	// fuzzing replays near-identical statements across test cases, and
-	// cross-case reuse is the point. schemaFP/fpValid memoize the catalog
-	// structure fingerprint; any dispatch that can change structure marks
-	// it dirty.
-	plans    *planCache
-	schemaFP uint64
-	fpValid  bool
+	// cross-case reuse is the point.
+	plans *planCache
+	// machines is the arena preparedEval binds machines from; ExecStmt
+	// resets it at statement end. progStack holds the per-item programs of
+	// projections, sorts and DML scans, pushed and popped like the INSERT
+	// scratch stacks.
+	machines  machineArena
+	progStack []boundProg
+	// joins holds one join's probe scratch per nesting level (exec_select.go);
+	// joinDepth is the number in use, zero between statements.
+	joins     []*joinScratch
+	joinDepth int
 
 	// metas is the shared column-metadata cache (colmeta.go). Like the
 	// plan cache it is derived state that survives reset, since the same
@@ -228,7 +234,6 @@ func (e *Engine) reset() {
 	e.wcteNotifyRewrite = false
 	e.rowsInserted = 0
 	e.lastInsertTab = ""
-	e.fpValid = false
 	e.results.reset()
 }
 
@@ -388,6 +393,7 @@ func (e *Engine) RunTestCase(tc sqlast.TestCase) (out Outcome) {
 // RunTestCase, and a caller that needs it longer must copy it.
 func (e *Engine) ExecStmt(s sqlast.Statement) (*Result, error) {
 	defer e.flushCov()
+	defer e.machines.reset()
 	e.hit(pDispatch)
 	t := s.Type()
 	if !e.cfg.Dialect.Supports(t) {
@@ -435,15 +441,6 @@ func (e *Engine) ExecStmt(s sqlast.Statement) (*Result, error) {
 }
 
 func (e *Engine) dispatch(s sqlast.Statement) (*Result, error) {
-	// Any DDL or TCL dispatch — including trigger- and procedure-nested ones,
-	// which re-enter here — may change catalog structure, so the schema
-	// fingerprint goes stale before execution. Marking by category is
-	// deliberately coarse: recomputation is lazy and content-based, so a
-	// no-op COMMIT costs one fingerprint walk, not a cache clear.
-	switch s.Type().Category() {
-	case sqlt.CatDDL, sqlt.CatTCL:
-		e.fpValid = false
-	}
 	//lego:exhaustive Statement
 	switch st := s.(type) {
 	// DDL

@@ -384,22 +384,22 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 		idxs = append(idxs, ri)
 	}
 	if len(orderBy) > 0 {
-		var obProgs []*program
-		var obMachs []*machine
+		var obProgs []boundProg
 		if compiled {
-			obProgs = make([]*program, len(orderBy))
-			obMachs = make([]*machine, len(orderBy))
+			var mark int
+			obProgs, mark = e.pushProgs(len(orderBy))
+			defer e.popProgs(mark)
 			for k, ob := range orderBy {
-				obProgs[k], obMachs[k] = e.preparedEval(ob.X, lay, nil)
+				obProgs[k].p, obProgs[k].m = e.preparedEval(ob.X, lay, nil)
 			}
 		}
 		keys := make(map[int][]Value, len(idxs))
 		for _, ri := range idxs {
 			row := t.Rows[ri]
 			if compiled && len(row) >= len(t.Cols) {
-				for k := range obProgs {
-					obMachs[k].bindRow(row)
-					v, err := obProgs[k].code(obMachs[k], 0)
+				for _, ob := range obProgs {
+					ob.m.bindRow(row)
+					v, err := ob.p.code(ob.m, 0)
 					if err != nil {
 						return nil, err
 					}
@@ -483,14 +483,14 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 	canCompileSets := !e.cfg.DisablePlanCache &&
 		len(e.cat.triggersFor(t.Name, sqlast.TriggerBefore, sqlast.TriggerUpdate)) == 0 &&
 		len(e.cat.triggersFor(t.Name, sqlast.TriggerAfter, sqlast.TriggerUpdate)) == 0
-	var setProgs []*program
-	var setMachs []*machine
+	var setProgs []boundProg
 	if canCompileSets {
 		lay := e.tableLayout(t)
-		setProgs = make([]*program, len(st.Sets))
-		setMachs = make([]*machine, len(st.Sets))
+		var mark int
+		setProgs, mark = e.pushProgs(len(st.Sets))
+		defer e.popProgs(mark)
 		for i, a := range st.Sets {
-			setProgs[i], setMachs[i] = e.preparedEval(a.Value, lay, nil)
+			setProgs[i].p, setProgs[i].m = e.preparedEval(a.Value, lay, nil)
 		}
 	}
 	touched := 0
@@ -513,8 +513,8 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 			if sc != nil {
 				v, err = e.eval(a.Value, sc, 0)
 			} else {
-				setMachs[i].bindRow(t.Rows[ri])
-				v, err = setProgs[i].code(setMachs[i], 0)
+				setProgs[i].m.bindRow(t.Rows[ri])
+				v, err = setProgs[i].p.code(setProgs[i].m, 0)
 			}
 			if err != nil {
 				return nil, err

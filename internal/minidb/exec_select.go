@@ -8,49 +8,21 @@ import (
 	"github.com/seqfuzz/lego/internal/sqlast"
 )
 
-// relation is an intermediate row set with named columns.
+// relation is an intermediate row set. Its columns are always shared
+// column metadata (colmeta.go): names, per-column qualifiers, binding keys
+// and the compile-time layout, all read-only.
 type relation struct {
-	cols []string // output names
-	qual []string // qualifier per column ("" if none)
+	*colMeta
 	rows [][]Value
-
-	// qkeys caches the "qualifier.column" binding keys; rebuilding them per
-	// row dominates scan cost otherwise.
-	qkeys []string
-
-	// meta is the shared column metadata cols, qual and qkeys come from,
-	// when they do (colmeta.go); nil for computed relations such as joins.
-	meta *colMeta
-}
-
-// metaRelation returns a relation over rows whose columns are m's.
-func metaRelation(m *colMeta, rows [][]Value) *relation {
-	return &relation{cols: m.cols, qual: m.quals, qkeys: m.qkeys, meta: m, rows: rows}
-}
-
-// keyCache returns the qualified column keys, built once per relation.
-//
-//lego:hotpath
-func (r *relation) keyCache() []string {
-	if r.qkeys == nil {
-		r.qkeys = make([]string, len(r.cols))
-		for c := range r.cols {
-			if r.qual[c] != "" {
-				r.qkeys[c] = r.qual[c] + "." + r.cols[c] //lego:allow hotalloc — builds the memoized r.qkeys exactly once per relation
-			}
-		}
-	}
-	return r.qkeys
 }
 
 func (r *relation) scopeRow(i int, parent *scope) *scope {
-	qk := r.keyCache()
 	m := make(map[string]Value, 2*len(r.cols))
 	for c := len(r.cols) - 1; c >= 0; c-- {
 		// iterate right-to-left so the leftmost duplicate wins
 		m[r.cols[c]] = r.rows[i][c]
-		if qk[c] != "" {
-			m[qk[c]] = r.rows[i][c]
+		if r.qkeys[c] != "" {
+			m[r.qkeys[c]] = r.rows[i][c]
 		}
 	}
 	return &scope{row: m, parent: parent}
@@ -66,7 +38,7 @@ func (r *relation) scopeRow(i int, parent *scope) *scope {
 //
 //lego:hotpath
 func (r *relation) scopeRowInto(i int, parent *scope, sc *scope) *scope {
-	qk := r.keyCache()
+	qk := r.qkeys
 	if sc.row == nil {
 		sc.row = make(map[string]Value, 2*len(r.cols))
 	}
@@ -115,9 +87,6 @@ func (e *Engine) materializeInto(name string, cols []string, rows [][]Value) (*R
 	}
 	t.Rows = rows
 	e.cat.Tables[name] = t
-	// SELECT INTO is DQL-category but creates a table, so the schema
-	// fingerprint goes stale here rather than in dispatch.
-	e.fpValid = false
 	return e.newResult(Result{Affected: len(rows), Msg: "SELECT INTO"}), nil
 }
 
@@ -147,7 +116,7 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 				return nil, nil, err
 			}
 			e.hit(pPlanJoinCross)
-			rel = crossProduct(rel, r2, e.limits.MaxResultRows)
+			rel = crossProduct(e.joinMeta(rel, r2), rel, r2, e.limits.MaxResultRows)
 		}
 	}
 
@@ -171,7 +140,7 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 				}
 			}
 		} else {
-			p, m := e.preparedEval(q.Where, relLayout(rel), outer)
+			p, m := e.preparedEval(q.Where, rel.relLay, outer)
 			for i := range rel.rows {
 				if err := e.chargeStep(); err != nil {
 					return nil, nil, err
@@ -186,7 +155,7 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 				}
 			}
 		}
-		rel = &relation{cols: rel.cols, qual: rel.qual, qkeys: rel.qkeys, meta: rel.meta, rows: filtered}
+		rel = &relation{colMeta: rel.colMeta, rows: filtered}
 	}
 
 	// Grouping / aggregation
@@ -404,14 +373,13 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 		// One program + machine per item: items bind independent literal and
 		// fallback slots. Star items stay exec-side (projectRow copies them
 		// without evaluating, so there is nothing to compile).
-		lay := relLayout(rel)
-		progs := make([]*program, len(q.Items))
-		machs := make([]*machine, len(q.Items))
+		progs, mark := e.pushProgs(len(q.Items))
+		defer e.popProgs(mark)
 		for k, it := range q.Items {
 			if _, ok := it.X.(*sqlast.Star); ok {
 				continue
 			}
-			progs[k], machs[k] = e.preparedEval(it.X, lay, outer)
+			progs[k].p, progs[k].m = e.preparedEval(it.X, rel.relLay, outer)
 		}
 		for i := range rel.rows {
 			if err := e.chargeStep(); err != nil {
@@ -421,19 +389,19 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 			for k, it := range q.Items {
 				if st, ok := it.X.(*sqlast.Star); ok {
 					for c := range rel.cols {
-						if st.Table != "" && rel.qual[c] != st.Table {
+						if st.Table != "" && rel.quals[c] != st.Table {
 							continue
 						}
 						row = append(row, rel.rows[i][c])
 					}
 					continue
 				}
-				mk := machs[k]
+				mk := progs[k].m
 				mk.bindRow(rel.rows[i])
 				if winVals != nil {
 					mk.winVals = winVals[i]
 				}
-				v, err := progs[k].code(mk, depth+1)
+				v, err := progs[k].p.code(mk, depth+1)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -465,7 +433,7 @@ func (e *Engine) projectRow(items []sqlast.SelectItem, rel *relation, rowIdx int
 	for _, it := range items {
 		if st, ok := it.X.(*sqlast.Star); ok {
 			for c := range rel.cols {
-				if st.Table != "" && rel.qual[c] != st.Table {
+				if st.Table != "" && rel.quals[c] != st.Table {
 					continue
 				}
 				if rowIdx >= 0 {
@@ -489,7 +457,7 @@ func (e *Engine) outputColumns(items []sqlast.SelectItem, rel *relation) []strin
 	for i, it := range items {
 		if st, ok := it.X.(*sqlast.Star); ok {
 			for c := range rel.cols {
-				if st.Table != "" && rel.qual[c] != st.Table {
+				if st.Table != "" && rel.quals[c] != st.Table {
 					continue
 				}
 				cols = append(cols, rel.cols[c])
@@ -615,23 +583,17 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 	compiled := !e.cfg.DisablePlanCache
 	// Partition- and order-key expressions run once per row (order keys
 	// twice: the post-sort recompute reuses the same programs).
-	var partProgs, obProgs []*program
-	var partMachs, obMachs []*machine
+	var partProgs, obProgs []boundProg
 	if compiled {
-		lay := relLayout(rel)
-		if n := len(fc.Over.PartitionBy); n > 0 {
-			partProgs = make([]*program, n)
-			partMachs = make([]*machine, n)
-			for k, pe := range fc.Over.PartitionBy {
-				partProgs[k], partMachs[k] = e.preparedEval(pe, lay, outer)
-			}
+		nPart := len(fc.Over.PartitionBy)
+		progs, mark := e.pushProgs(nPart + len(fc.Over.OrderBy))
+		defer e.popProgs(mark)
+		partProgs, obProgs = progs[:nPart], progs[nPart:]
+		for k, pe := range fc.Over.PartitionBy {
+			partProgs[k].p, partProgs[k].m = e.preparedEval(pe, rel.relLay, outer)
 		}
-		if n := len(fc.Over.OrderBy); n > 0 {
-			obProgs = make([]*program, n)
-			obMachs = make([]*machine, n)
-			for k, ob := range fc.Over.OrderBy {
-				obProgs[k], obMachs[k] = e.preparedEval(ob.X, lay, outer)
-			}
+		for k, ob := range fc.Over.OrderBy {
+			obProgs[k].p, obProgs[k].m = e.preparedEval(ob.X, rel.relLay, outer)
 		}
 	}
 
@@ -653,9 +615,9 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 		if len(fc.Over.PartitionBy) > 0 {
 			var keys []Value
 			if compiled {
-				for k := range partProgs {
-					partMachs[k].bindRow(rel.rows[i])
-					v, err := partProgs[k].code(partMachs[k], depth+1)
+				for _, pp := range partProgs {
+					pp.m.bindRow(rel.rows[i])
+					v, err := pp.p.code(pp.m, depth+1)
 					if err != nil {
 						return err
 					}
@@ -684,9 +646,9 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 			if n := len(rel.cols); n > 0 {
 				_ = rel.rows[i][n-1]
 			}
-			for k := range obProgs {
-				obMachs[k].bindRow(rel.rows[i])
-				v, err := obProgs[k].code(obMachs[k], depth+1)
+			for _, op := range obProgs {
+				op.m.bindRow(rel.rows[i])
+				v, err := op.p.code(op.m, depth+1)
 				if err != nil {
 					return dst, err
 				}
@@ -888,26 +850,29 @@ func (e *Engine) sortRows(q *sqlast.SelectStmt, rows [][]Value, cols []string, s
 		// Compiled path: frame 0 is the output row (names bound forward, so
 		// last duplicate wins, matching the map above), frame 1 the source
 		// relation when order expressions may reach projected-away columns.
-		lay := layout{frames: []frame{{keys: cols, lastWins: true}}}
+		lay := layout{frames: append(make([]frame, 0, 2), frame{keys: cols, lastWins: true})}
 		if srcRel != nil {
-			lay.frames = append(lay.frames, frame{keys: srcRel.cols, qkeys: srcRel.keyCache()})
+			lay.frames = append(lay.frames, srcRel.relLay.frames[0])
 		}
-		progs := make([]*program, len(q.OrderBy))
-		machs := make([]*machine, len(q.OrderBy))
+		progs, mark := e.pushProgs(len(q.OrderBy))
+		defer e.popProgs(mark)
 		for k, ob := range q.OrderBy {
-			progs[k], machs[k] = e.preparedEval(ob.X, lay, outer)
+			progs[k].p, progs[k].m = e.preparedEval(ob.X, lay, outer)
 		}
 		// Rows shorter than the column list (set-op arity mismatch) bind
 		// fewer names than the layout promises, so they take the interpreter
 		// map path per row — observationally identical, since the map never
 		// carries stale keys across rows of one length.
 		var m map[string]Value
-		var psc, ssc scope
+		var psc, ssc *scope // allocated at the first short row
 		lastLen := -1
 		for i, row := range rows {
 			short := len(row) < len(cols)
 			var sc *scope
 			if short {
+				if ssc == nil {
+					psc, ssc = new(scope), new(scope)
+				}
 				if m == nil || len(row) != lastLen {
 					m = make(map[string]Value, len(cols))
 					lastLen = len(row)
@@ -919,11 +884,11 @@ func (e *Engine) sortRows(q *sqlast.SelectStmt, rows [][]Value, cols []string, s
 				}
 				parent := outer
 				if srcRel != nil {
-					parent = srcRel.scopeRowInto(i, outer, &psc)
+					parent = srcRel.scopeRowInto(i, outer, psc)
 				}
 				ssc.row = m
 				ssc.parent = parent
-				sc = &ssc
+				sc = ssc
 			} else if srcRel != nil {
 				// Replicate scopeRowInto's full-width access on the source
 				// row before any key evaluation.
@@ -943,12 +908,12 @@ func (e *Engine) sortRows(q *sqlast.SelectStmt, rows [][]Value, cols []string, s
 				if short {
 					v, err = e.eval(ox, sc, depth+1)
 				} else {
-					mk := machs[k]
+					mk := progs[k].m
 					mk.bindRow(row)
 					if srcRel != nil {
 						mk.rowB = srcRel.rows[i]
 					}
-					v, err = progs[k].code(mk, depth+1)
+					v, err = progs[k].p.code(mk, depth+1)
 				}
 				if err != nil {
 					// fall back to NULL key, as above
@@ -1043,11 +1008,10 @@ func applySetOp(op sqlast.SetOp, left, right [][]Value) [][]Value {
 	}
 }
 
-func crossProduct(a, b *relation, maxRows int) *relation {
-	out := &relation{
-		cols: append(append([]string{}, a.cols...), b.cols...),
-		qual: append(append([]string{}, a.qual...), b.qual...),
-	}
+// crossProduct pairs every row of a with every row of b; m is the metadata
+// of a's columns followed by b's (Engine.joinMeta).
+func crossProduct(m *colMeta, a, b *relation, maxRows int) *relation {
+	out := &relation{colMeta: m}
 	if n := len(a.rows) * len(b.rows); n > 0 {
 		if n > maxRows {
 			n = maxRows
@@ -1078,7 +1042,7 @@ func (e *Engine) fromRelation(ref sqlast.TableRef, outer *scope, depth int) (*re
 		if r.Alias != "" {
 			q = r.Alias
 		}
-		return metaRelation(e.relMeta(q, cols), rows), nil
+		return &relation{colMeta: e.relMeta(q, cols), rows: rows}, nil
 
 	case *sqlast.SubqueryRef:
 		e.hit(pPlanSubquery)
@@ -1086,7 +1050,7 @@ func (e *Engine) fromRelation(ref sqlast.TableRef, outer *scope, depth int) (*re
 		if err != nil {
 			return nil, err
 		}
-		return metaRelation(e.relMeta(r.Alias, cols), rows), nil
+		return &relation{colMeta: e.relMeta(r.Alias, cols), rows: rows}, nil
 
 	case *sqlast.JoinRef:
 		left, err := e.fromRelation(r.L, outer, depth)
@@ -1154,15 +1118,49 @@ func (e *Engine) resolveNamedRelation(name string, outer *scope, depth int) ([]s
 	return e.tableMeta(t).cols, t.Rows, nil
 }
 
-func (e *Engine) joinRelations(j *sqlast.JoinRef, left, right *relation, outer *scope, depth int) (*relation, error) {
-	out := &relation{
-		cols: append(append([]string{}, left.cols...), right.cols...),
-		qual: append(append([]string{}, left.qual...), right.qual...),
+// joinScratch is one join's reusable probe state: the left ⧺ right pair
+// row being matched and, for the interpreter, a one-row relation over it and
+// the scope it binds into. Engine.joins keeps one per nesting level — a join
+// inside an ON subquery runs one level above its caller — so every join at
+// a level reuses the same storage.
+type joinScratch struct {
+	pair  []Value
+	row   [1][]Value
+	probe relation
+	sc    scope
+}
+
+// pushJoin returns the next level's join scratch with its probe relation
+// over m; the caller defers popJoin.
+func (e *Engine) pushJoin(m *colMeta) *joinScratch {
+	if e.joinDepth == len(e.joins) {
+		e.joins = append(e.joins, &joinScratch{})
 	}
+	js := e.joins[e.joinDepth]
+	e.joinDepth++
+	js.probe = relation{colMeta: m, rows: js.row[:]}
+	return js
+}
+
+// popJoin releases the innermost join scratch, zeroing the values, rows and
+// scope bindings it held but keeping its storage.
+func (e *Engine) popJoin() {
+	e.joinDepth--
+	js := e.joins[e.joinDepth]
+	clear(js.pair[:cap(js.pair)])
+	js.pair = js.pair[:0]
+	js.row[0] = nil
+	js.probe = relation{}
+	clear(js.sc.row)
+	js.sc.parent = nil
+}
+
+func (e *Engine) joinRelations(j *sqlast.JoinRef, left, right *relation, outer *scope, depth int) (*relation, error) {
+	out := &relation{colMeta: e.joinMeta(left, right)}
 	switch j.Kind {
 	case sqlast.JoinCross:
 		e.hit(pPlanJoinCross)
-		return crossProduct(left, right, e.limits.MaxResultRows), nil
+		return crossProduct(out.colMeta, left, right, e.limits.MaxResultRows), nil
 	case sqlast.JoinLeft:
 		e.hit(pPlanJoinLeft)
 	case sqlast.JoinRight:
@@ -1175,29 +1173,28 @@ func (e *Engine) joinRelations(j *sqlast.JoinRef, left, right *relation, outer *
 	// cannot stall fuzzing (paper challenge C3). Real servers spend the
 	// time; a fuzzing harness must not.
 	pairBudget := 20000
-	// The pair row, probe relation, and scope map are allocated once and
-	// rebound per pair: only matched pairs materialize a fresh row into
-	// out.rows, so the ON evaluation runs allocation-free across the up to
-	// 20000 probed pairs.
-	pairRow := make([]Value, 0, len(out.cols))
-	probe := &relation{cols: out.cols, qual: out.qual, rows: [][]Value{nil}}
+	// The pair row, probe relation, and scope map come from the join scratch
+	// stack and are rebound per pair: only matched pairs materialize a fresh
+	// row into out.rows, so the ON evaluation runs allocation-free across
+	// the up to 20000 probed pairs.
+	js := e.pushJoin(out.colMeta)
+	defer e.popJoin()
 	var onProg *program
 	var onMach *machine
 	if !e.cfg.DisablePlanCache {
-		onProg, onMach = e.preparedEval(j.On, relLayout(probe), outer)
+		onProg, onMach = e.preparedEval(j.On, out.relLay, outer)
 	}
-	var psc scope
 	matchRow := func(lrow, rrow []Value) (bool, error) {
 		pairBudget--
-		pairRow = append(append(pairRow[:0], lrow...), rrow...)
-		probe.rows[0] = pairRow
+		js.pair = append(append(js.pair[:0], lrow...), rrow...)
 		var v Value
 		var err error
 		if onProg != nil {
-			onMach.bindRow(pairRow)
+			onMach.bindRow(js.pair)
 			v, err = onProg.code(onMach, depth+1)
 		} else {
-			sc := probe.scopeRowInto(0, outer, &psc)
+			js.row[0] = js.pair
+			sc := js.probe.scopeRowInto(0, outer, &js.sc)
 			v, err = e.eval(j.On, sc, depth+1)
 		}
 		if err != nil {

@@ -1,7 +1,7 @@
 package minidb
 
 // Plan cache (DESIGN.md §9): compiled programs are cached per engine, keyed
-// by (expression shape, layout signature, schema fingerprint).
+// by (expression shape, layout signature) — everything a program reads.
 //
 // The shape hash abstracts literal values — `x = 1` and `x = 'a'` share one
 // program whose literal slots the binder fills per execution — so the mutate
@@ -11,23 +11,17 @@ package minidb
 // contribute only their tag: their program re-enters the interpreter on the
 // node bound at execution time, so any two subqueries share it.
 //
-// Invalidation is content-based rather than a counter: the schema
-// fingerprint hashes the catalog's table/column/type structure, and any
-// DDL- or TCL-category dispatch (plus SELECT INTO's materialization and the
-// per-test-case reset) marks it dirty for lazy recomputation. Fuzzing
-// recreates the same CREATE TABLE prologue case after case, so the
-// fingerprint converges and cross-case plan reuse stays hot; any ALTER,
-// DROP, rename, or rollback that actually changes structure yields a new
-// fingerprint, and plans compiled against the old schema can never be
-// looked up again. The cache is derived state: it is never checkpointed,
-// and a size cap clears it wholesale (deterministically) rather than
-// evicting by recency.
+// The catalog is not part of the key: compileProgram reads nothing from it,
+// and the only schema a program bakes in is its layout — the column names
+// and qualified keys its slots resolve — which every hit verifies in full
+// (layout.equal). An ALTER, rename or rollback that moves a column changes
+// the layout the executor asks for, so the old program cannot be handed out
+// for it; an unrelated CREATE TABLE changes nothing a program reads, so
+// plans compiled before it still hit. The cache is derived state: it is
+// never checkpointed, and a size cap clears it wholesale (deterministically)
+// rather than evicting by recency.
 
-import (
-	"sort"
-
-	"github.com/seqfuzz/lego/internal/sqlast"
-)
+import "github.com/seqfuzz/lego/internal/sqlast"
 
 // fnv64 offset/prime constants; two independent streams give a 128-bit hash
 // so shape collisions are out of reach for any campaign length.
@@ -198,7 +192,6 @@ func (l *layout) signature() (uint64, uint64) {
 type planKey struct {
 	s1, s2 uint64 // expression shape
 	l1, l2 uint64 // layout signature
-	fp     uint64 // schema fingerprint
 }
 
 // planCacheCap bounds the per-engine cache. Reaching it clears the whole map
@@ -247,7 +240,7 @@ func (e *Engine) compiledFor(x sqlast.Expr, lay layout) *program {
 	h := newHash128()
 	shapeHash(&h, x)
 	l1, l2 := lay.signature()
-	key := planKey{s1: h.h1, s2: h.h2, l1: l1, l2: l2, fp: e.schemaFingerprint()}
+	key := planKey{s1: h.h1, s2: h.h2, l1: l1, l2: l2}
 	if p, ok := e.plans.m[key]; ok && p.lay.equal(&lay) {
 		e.plans.hits++
 		return p
@@ -262,47 +255,82 @@ func (e *Engine) compiledFor(x sqlast.Expr, lay layout) *program {
 	return p
 }
 
-// schemaFingerprint returns the content hash of the catalog structure a
-// program could depend on: table names and their column names and declared
-// types, in sorted order. Recomputed lazily after any dispatch that may have
-// changed structure (see Engine.dispatch and reset).
-func (e *Engine) schemaFingerprint() uint64 {
-	if e.fpValid {
-		return e.schemaFP
-	}
-	names := make([]string, 0, len(e.cat.Tables))
-	for n := range e.cat.Tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	h := newHash128()
-	for _, n := range names {
-		t := e.cat.Tables[n]
-		h.str(n)
-		h.int(len(t.Cols))
-		for ci := range t.Cols {
-			h.str(t.Cols[ci].Name)
-			h.str(t.Cols[ci].TypeName)
-		}
-	}
-	e.schemaFP = h.h1
-	e.fpValid = true
-	return e.schemaFP
-}
-
 // preparedEval compiles (or fetches) x against lay and returns the program
 // with a machine bound for this statement execution: literal and fallback
 // slots filled, dynamic outer chain attached. Callers bind rows per row via
-// machine.bindRow and run p.code.
+// machine.bindRow and run p.code. The machine comes from the engine's
+// machine arena, so it is valid only until the end of the top-level
+// statement.
 func (e *Engine) preparedEval(x sqlast.Expr, lay layout, outer *scope) (*program, *machine) {
 	p := e.compiledFor(x, lay)
-	m := &machine{e: e, outer: outer, lay: &p.lay}
-	if p.nlits > 0 {
+	m := e.machines.next()
+	m.e, m.outer, m.lay = e, outer, &p.lay
+	if cap(m.lits) < p.nlits {
 		m.lits = make([]Value, 0, p.nlits)
 	}
-	if p.nfalls > 0 {
+	if cap(m.falls) < p.nfalls {
 		m.falls = make([]sqlast.Expr, 0, p.nfalls)
 	}
 	m.bind(x)
 	return p, m
+}
+
+// machineBlock is the number of machines the arena allocates at a time.
+const machineBlock = 32
+
+// machineArena hands out the machines preparedEval binds, from
+// engine-owned blocks, so binding a program costs no allocation in steady
+// state. A machine never outlives the top-level statement that bound it:
+// every caller keeps it in a local for one execution loop, and ExecStmt
+// resets the arena when the statement ends, panics included. A full block
+// is left to the machines still running from it and a new one started.
+type machineArena struct {
+	block []machine
+	used  int
+}
+
+// next returns a zeroed machine whose literal and fallback slices are
+// empty but keep the storage of earlier statements.
+func (a *machineArena) next() *machine {
+	if a.used == len(a.block) {
+		a.block = make([]machine, machineBlock)
+		a.used = 0
+	}
+	m := &a.block[a.used]
+	a.used++
+	return m
+}
+
+// reset zeroes every handed-out machine, dropping the rows, scopes and
+// literal values it referenced, and rewinds the arena; only the backing
+// arrays of the literal and fallback slices are kept for reuse.
+func (a *machineArena) reset() {
+	for i := range a.block[:a.used] {
+		m := &a.block[i]
+		clear(m.lits)
+		clear(m.falls)
+		*m = machine{lits: m.lits[:0], falls: m.falls[:0]}
+	}
+	a.used = 0
+}
+
+// boundProg is a compiled program with the machine bound for it.
+type boundProg struct {
+	p *program
+	m *machine
+}
+
+// pushProgs reserves n program slots on the engine's scratch stack, above
+// the slots of any enclosing query (a subquery evaluated mid-loop pushes
+// above its caller's). The caller defers popProgs(mark).
+func (e *Engine) pushProgs(n int) (slots []boundProg, mark int) {
+	mark = len(e.progStack)
+	e.progStack = append(e.progStack, make([]boundProg, n)...)
+	return e.progStack[mark:len(e.progStack):len(e.progStack)], mark
+}
+
+// popProgs truncates the program stack back to mark, zeroing what it pops.
+func (e *Engine) popProgs(mark int) {
+	clear(e.progStack[mark:])
+	e.progStack = e.progStack[:mark]
 }

@@ -18,6 +18,7 @@ const dirtyScript = `
 CREATE TABLE t1 (a INT PRIMARY KEY, b TEXT);
 INSERT INTO t1 VALUES (1, 'x');
 CREATE TABLE log (m INT);
+SELECT t1.a FROM t1 JOIN log ON t1.a = log.m ORDER BY t1.a;
 CREATE INDEX i1 ON t1 (b);
 CREATE VIEW v1 AS SELECT a FROM t1;
 CREATE TRIGGER tg AFTER INSERT ON t1 FOR EACH ROW INSERT INTO log VALUES (1);
@@ -119,13 +120,18 @@ func assertFresh(t *testing.T, e *Engine) {
 			t.Errorf("INSERT row stack still holds %v", r)
 		}
 	}
+	// Machines, program slots and join scratch are statement-scoped.
+	if err := checkEvalScratch(e); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestResetIsComplete dirties every catalog map and session field, then
 // either leaves a transaction open (with a released savepoint's snapshot
 // still in txnStack's backing array) or rolls it back, and checks that the
 // next test case starts from exactly a new engine's state, with the result
-// arena rewound and zeroed and the INSERT scratch stacks empty. Because the
+// arena rewound and zeroed, the INSERT scratch stacks empty, and no machine,
+// program slot or join scratch still holding a statement's state. Because the
 // check walks the struct fields, a field added later that reset forgets
 // fails here, and so does one the dirty script forgets to touch.
 func TestResetIsComplete(t *testing.T) {
@@ -146,6 +152,10 @@ func TestResetIsComplete(t *testing.T) {
 				if e.results.used == 0 || len(e.insVals) != 0 || cap(e.insVals) == 0 {
 					t.Fatalf("dirty script left %d arena results and INSERT value stack len %d cap %d; want results, an empty stack with storage",
 						e.results.used, len(e.insVals), cap(e.insVals))
+				}
+				if len(e.machines.block) == 0 || cap(e.progStack) == 0 || len(e.joins) == 0 {
+					t.Fatalf("dirty script never used the machine arena (%d), program stack (cap %d) or join scratch (%d)",
+						len(e.machines.block), cap(e.progStack), len(e.joins))
 				}
 				for _, f := range fieldDiff(e.cat, NewCatalog()) {
 					dirty["Catalog."+f] = true

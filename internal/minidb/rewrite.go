@@ -66,6 +66,13 @@ func (e *Engine) applyRules(table string, ev sqlast.TriggerEvent) (handled bool,
 	return true, e.newResult(Result{Msg: "rewritten by rule"}), nil
 }
 
+// cteRows is one CTE's materialized result. Name resolution reads only its
+// columns and rows; a FROM item over it qualifies them (fromRelation).
+type cteRows struct {
+	cols []string
+	rows [][]Value
+}
+
 // execWith implements WITH ... <body>: CTE relations are materialized into a
 // frame visible to name resolution, and writable CTEs (DML bodies) execute
 // in order, mirroring RewriteQuery's recursive processing of
@@ -82,7 +89,7 @@ func (e *Engine) execWith(st *sqlast.WithStmt) (*Result, error) {
 	e.rewriteDepth++
 	defer func() { e.rewriteDepth-- }()
 
-	frame := map[string]*relation{}
+	frame := map[string]cteRows{}
 	e.cteFrames = append(e.cteFrames, frame)
 	defer func() { e.cteFrames = e.cteFrames[:len(e.cteFrames)-1] }()
 
@@ -100,7 +107,7 @@ func (e *Engine) execWith(st *sqlast.WithStmt) (*Result, error) {
 					}
 				}
 			}
-			frame[cte.Name] = &relation{cols: cols, rows: rows}
+			frame[cte.Name] = cteRows{cols: cols, rows: rows}
 		default:
 			// Writable CTE: recursively rewrite-and-execute the DML. This
 			// is the RewriteQuery path of the case study.
@@ -122,7 +129,7 @@ func (e *Engine) execWith(st *sqlast.WithStmt) (*Result, error) {
 			if res != nil && len(res.Rows) > 0 {
 				rows = res.Rows
 			}
-			frame[cte.Name] = &relation{cols: cols, rows: rows}
+			frame[cte.Name] = cteRows{cols: cols, rows: rows}
 		}
 	}
 	res, err := e.dispatch(st.Body)
@@ -141,7 +148,7 @@ func (e *Engine) execWith(st *sqlast.WithStmt) (*Result, error) {
 // replaceEmptyJointree supplies the implicit one-row relation for queries
 // with no FROM clause, mirroring PostgreSQL's function of the same name.
 func (e *Engine) replaceEmptyJointree() *relation {
-	return &relation{cols: nil, qual: nil, rows: nil}
+	return &relation{colMeta: e.relMeta("", nil)}
 }
 
 func (e *Engine) execExplain(st *sqlast.ExplainStmt) (*Result, error) {

@@ -269,6 +269,40 @@ INSERT INTO "" VALUES (3, 0);
 		},
 	},
 	{
+		// Joins share column metadata by content and reuse one probe
+		// scratch per nesting level: statement 7's join must not see the
+		// z that statement 6's join bound at the same level, and the join
+		// inside the EXISTS runs one level up while the outer join probes.
+		// Window, ORDER BY and DML programs share the program stack.
+		name: "joins",
+		sql: `
+CREATE TABLE a (x INT, z INT);
+CREATE TABLE b (x INT, y INT);
+CREATE TABLE c (y INT);
+INSERT INTO a VALUES (1, 5), (2, 6), (3, 7);
+INSERT INTO b VALUES (1, 7), (3, 8), (3, 9);
+INSERT INTO c VALUES (7), (9);
+SELECT a.x, b.y FROM a JOIN b ON a.x = b.x;
+SELECT b.x, c.y FROM b JOIN c ON z = 5;
+SELECT a.x, b.y FROM a LEFT JOIN b ON a.x = b.x AND EXISTS (SELECT 1 FROM b AS b2 JOIN c ON b2.y = c.y WHERE c.y = a.z + 2) ORDER BY a.x DESC;
+SELECT * FROM a, b WHERE a.x = b.x ORDER BY b.y;
+SELECT a.x, b.y, c.y FROM a JOIN b ON a.x = b.x JOIN c ON b.y = c.y;
+SELECT q.x, c.y FROM (SELECT a.x FROM a JOIN b ON a.x = b.x) AS q RIGHT JOIN c ON q.x = 1;
+SELECT x, ROW_NUMBER() OVER (PARTITION BY x ORDER BY y DESC) FROM b;
+UPDATE b SET y = y + 1, x = x * 2 WHERE y > 7;
+SELECT x, y FROM b ORDER BY y;
+`,
+		want: []string{
+			"6: cols=[x y] affected=0 rows=[[1 7] [3 8] [3 9]]",
+			`7: err=column "z" does not exist`,
+			"8: cols=[x y] affected=0 rows=[[3 8] [3 9] [2 NULL] [1 7]]",
+			"9: cols=[x z x y] affected=0 rows=[[1 5 1 7] [3 7 3 8] [3 7 3 9]]",
+			"11: cols=[x y] affected=0 rows=[[1 7] [1 9]]",
+			"12: cols=[x row_number] affected=0 rows=[[1 1] [3 2] [3 1]]",
+			"14: cols=[x y] affected=0 rows=[[1 7] [6 9] [6 10]]",
+		},
+	},
+	{
 		// A seeded bug fires inside a trigger body while the outer INSERT
 		// still holds two evaluated rows on the scratch stacks.
 		name:     "bug-panics-inside-insert",
@@ -287,7 +321,8 @@ INSERT INTO t VALUES (1), (2);
 
 // TestStmtMemoryTargeted runs stmtMemCases through stepCase's checks on a
 // long-lived engine per dialect (whose cache carries entries from earlier
-// cases) and on a fresh engine per case.
+// cases), on a fresh engine per case, and on a fresh engine with the plan
+// cache off, whose interpreter paths use the join scratch's scope.
 func TestStmtMemoryTargeted(t *testing.T) {
 	for _, d := range sqlt.Dialects() {
 		long := map[bool]*minidb.Engine{
@@ -308,6 +343,10 @@ func TestStmtMemoryTargeted(t *testing.T) {
 				fresh, _ := stepCase(t, minidb.New(minidb.Config{Dialect: d, EnableHazards: c.hazards}), tc)
 				if got != fresh {
 					t.Fatalf("long-lived engine diverged from a fresh one\nlong-lived:\n%s\nfresh:\n%s", got, fresh)
+				}
+				interp, _ := stepCase(t, minidb.New(minidb.Config{Dialect: d, EnableHazards: c.hazards, DisablePlanCache: true}), tc)
+				if got != interp {
+					t.Fatalf("plan cache off diverged\nlong-lived:\n%s\nplan cache off:\n%s", got, interp)
 				}
 				for _, w := range c.want {
 					if !strings.Contains(got, w) {

@@ -79,11 +79,39 @@ func (v Value) numeric() (float64, bool) {
 		}
 		return 0, true
 	case KText:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
-		return f, err == nil
+		return parseFloat(strings.TrimSpace(v.S))
 	default:
 		return 0, false
 	}
+}
+
+// parseFloat is strconv.ParseFloat(s, 64) reporting success as a bool. A
+// string whose first byte cannot start a float — anything but a sign, a
+// digit, '.', or the first letter of "inf", "infinity" or "nan" — is
+// rejected before strconv, which would allocate a *NumError to say so.
+func parseFloat(s string) (float64, bool) {
+	if s == "" {
+		return 0, false
+	}
+	switch c := s[0]; {
+	case c == '+', c == '-', c == '.', '0' <= c && c <= '9',
+		c == 'i', c == 'I', c == 'n', c == 'N':
+	default:
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
+}
+
+// parseInt is strconv.ParseInt(s, 10, 64) reporting success as a bool,
+// rejecting without an allocation a string that does not start with a
+// sign or a digit.
+func parseInt(s string) (int64, bool) {
+	if s == "" || (s[0] != '+' && s[0] != '-' && (s[0] < '0' || s[0] > '9')) {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(s, 10, 64)
+	return n, err == nil
 }
 
 // Truthy evaluates the value in boolean context; NULL is not truthy.
@@ -210,7 +238,7 @@ func CoerceToColumn(typeName string, v Value) Value {
 			}
 			return Int(0)
 		case KText:
-			if n, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64); err == nil {
+			if n, ok := parseInt(strings.TrimSpace(v.S)); ok {
 				return Int(n)
 			}
 			return v

@@ -1,8 +1,10 @@
 package minidb
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -207,6 +209,46 @@ func TestLikeMatch(t *testing.T) {
 	for _, c := range cases {
 		if got := likeMatch(c.pat, c.s); got != c.want {
 			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.pat, c.s, got, c.want)
+		}
+	}
+}
+
+// TestNumericParseMatchesStrconv checks that parseFloat and parseInt, which
+// reject some strings before calling strconv, accept exactly the strings
+// strconv accepts and return its values, on every first byte strconv's
+// grammar allows and on near-misses of each.
+func TestNumericParseMatchesStrconv(t *testing.T) {
+	inputs := []string{
+		"", " ", "-", "+", ".", " 12 ", "12", "+1", "-1", ".5", "5.", "-.5",
+		"1e5", "1E-5", "e5", "inf", "Inf", "+inf", "-Infinity", "infinity",
+		"INFINITY", "infx", "i", "NaN", "nan", "-nan", "n", "0x1p-2", "0X1P2",
+		"0x10", "0b101", "0o17", "1_000", "0x_1p0", "_1", "abc", "x' LIKE NULL",
+		"1e400", "-1e400", "9223372036854775807", "9223372036854775808",
+		"-9223372036854775808", "1.5", "٣", "\t7", "7\n",
+	}
+	for _, s := range inputs {
+		wantF, errF := strconv.ParseFloat(s, 64)
+		if gotF, ok := parseFloat(s); ok != (errF == nil) || (ok && math.Float64bits(gotF) != math.Float64bits(wantF)) {
+			t.Errorf("parseFloat(%q) = %v, %v; strconv: %v, %v", s, gotF, ok, wantF, errF)
+		}
+		wantI, errI := strconv.ParseInt(s, 10, 64)
+		if gotI, ok := parseInt(s); ok != (errI == nil) || (ok && gotI != wantI) {
+			t.Errorf("parseInt(%q) = %v, %v; strconv: %v, %v", s, gotI, ok, wantI, errI)
+		}
+	}
+	// Every first byte: parseFloat and parseInt must agree with strconv on
+	// a one-byte string and on that byte followed by "1" and by "nf".
+	for c := 0; c < 256; c++ {
+		for _, tail := range []string{"", "1", "nf", "nfinity", "an"} {
+			s := string([]byte{byte(c)}) + tail
+			_, errF := strconv.ParseFloat(s, 64)
+			if _, ok := parseFloat(s); ok != (errF == nil) {
+				t.Errorf("parseFloat(%q) ok=%v, strconv err=%v", s, ok, errF)
+			}
+			_, errI := strconv.ParseInt(s, 10, 64)
+			if _, ok := parseInt(s); ok != (errI == nil) {
+				t.Errorf("parseInt(%q) ok=%v, strconv err=%v", s, ok, errI)
+			}
 		}
 	}
 }
