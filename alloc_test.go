@@ -48,8 +48,8 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	// plus one per non-empty slice; the immutable leaves (literals, column
 	// references, stars) are shared, not copied. The reparse path this
 	// replaced cost hundreds.
-	check("CloneStatement", 10, func() {
-		_ = sqlparse.CloneStatement(stmt)
+	check("Statement.Clone", 10, func() {
+		_ = stmt.Clone()
 	})
 
 	// Cold render of the join query: builder growth plus child renders.
@@ -66,8 +66,8 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 	})
 
 	// Test-case clone: clone of every statement plus the slice header.
-	check("CloneTestCase", 12, func() {
-		_ = sqlparse.CloneTestCase(tc)
+	check("TestCase.Clone", 12, func() {
+		_ = tc.Clone()
 	})
 
 	// Dependency fix of an already-consistent case: the fixer empties one
@@ -103,17 +103,6 @@ SELECT v1 FROM t1 WHERE (v2 = 2);
 		_, _ = m.Accumulate(tr)
 	})
 	tr.Reset()
-
-	// Coverage batch append and flush: steady-state zero. The batch buffer
-	// is pre-sized and reused; Flush only bumps existing tracer counters.
-	b := coverage.NewBatch(16)
-	check("Batch-flush", 0, func() {
-		for _, s := range sites {
-			b.Add(s)
-		}
-		tr.Flush(b)
-		tr.Reset()
-	})
 
 	// Compiled statement execution over a full (128-row) table. The ceiling
 	// is a fixed per-statement cost (result assembly, filtered rows, sort

@@ -220,7 +220,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 const benchCloneStmtSQL = `SELECT t1.v1, t2.v2 FROM t1 JOIN t2 ON (t1.v1 = t2.v1) WHERE (t1.v2 > 3) ORDER BY t1.v1 DESC LIMIT 10;`
 
 // BenchmarkCloneStructural measures the structural statement clone that
-// backs sqlparse.CloneStatement on the hot path.
+// backs every clone on the hot path.
 func BenchmarkCloneStructural(b *testing.B) {
 	s := sqlparse.MustParseScript(benchCloneStmtSQL)[0]
 	b.ReportAllocs()

@@ -52,7 +52,7 @@ func (s *SQLsmith) Step(exhausted func() bool) {
 	if exhausted() {
 		return
 	}
-	tc := append(sqlparse.CloneTestCase(s.preamble), s.genSelect(3))
+	tc := append(s.preamble.Clone(), s.genSelect(3))
 	s.runner.Execute(tc)
 }
 

@@ -28,7 +28,6 @@ import (
 	"github.com/seqfuzz/lego/internal/mutate"
 	"github.com/seqfuzz/lego/internal/seqsynth"
 	"github.com/seqfuzz/lego/internal/sqlast"
-	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
 	"github.com/seqfuzz/lego/internal/xrand"
 )
@@ -225,8 +224,8 @@ func (f *Fuzzer) splitSeed(tc sqlast.TestCase) []sqlast.TestCase {
 	if lo < 1 {
 		lo = 1
 	}
-	first := sqlparse.CloneTestCase(tc[:mid+overlap])
-	second := sqlparse.CloneTestCase(tc[lo:])
+	first := tc[:mid+overlap].Clone()
+	second := tc[lo:].Clone()
 	f.inst.Fixer.Fix(first)
 	f.inst.Fixer.Fix(second)
 	return []sqlast.TestCase{first, second}

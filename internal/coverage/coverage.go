@@ -78,7 +78,11 @@ func NewTracer() *Tracer {
 	}
 }
 
-// Hit reports that execution reached site s.
+// Hit reports that execution reached site s; every engine probe calls it
+// directly. The touched list it appends to is pre-sized to touchedCap and
+// recycled by Reset.
+//
+//lego:hotpath
 func (t *Tracer) Hit(s Site) {
 	idx := uint32(t.prev ^ s.id)
 	if t.counts[idx] == 0 {
@@ -88,63 +92,6 @@ func (t *Tracer) Hit(s Site) {
 		t.counts[idx]++
 	}
 	t.prev = s.id >> 1
-}
-
-// Batch is a reusable buffer of probe sites hit during one statement.
-// Engine code appends sites locally (no tracer pointer chasing per probe)
-// and replays them into a Tracer at statement end with Flush; because the
-// tracer's edge hash depends only on the site sequence, a flushed batch
-// produces byte-identical coverage to calling Hit site by site.
-type Batch struct {
-	// Sites is the pending hit list in execution order. The slice is owned
-	// by the batch and recycled across statements.
-	//
-	//lego:borrowed valid until the next Flush or Reset on the same batch
-	Sites []Site
-}
-
-// NewBatch returns a batch pre-sized to hold n sites before its first grow.
-func NewBatch(n int) *Batch {
-	return &Batch{Sites: make([]Site, 0, n)}
-}
-
-// Add appends one site hit to the batch.
-//
-//lego:hotpath
-func (b *Batch) Add(s Site) { b.Sites = append(b.Sites, s) }
-
-// Len returns the number of pending hits.
-func (b *Batch) Len() int { return len(b.Sites) }
-
-// Reset discards pending hits without replaying them.
-func (b *Batch) Reset() { b.Sites = b.Sites[:0] }
-
-// HitBatch replays every site in b against the tracer, in order, exactly as
-// if Hit had been called per site.
-//
-//lego:hotpath
-func (t *Tracer) HitBatch(b *Batch) {
-	prev := t.prev
-	counts := t.counts
-	for _, s := range b.Sites {
-		idx := uint32(prev ^ s.id)
-		if counts[idx] == 0 {
-			t.touched = append(t.touched, idx) //lego:allow hotalloc — touched is pre-sized to touchedCap at construction and recycled by Reset
-		}
-		if counts[idx] < ^uint16(0) {
-			counts[idx]++
-		}
-		prev = s.id >> 1
-	}
-	t.prev = prev
-}
-
-// Flush replays b into the tracer and truncates it for reuse.
-//
-//lego:hotpath
-func (t *Tracer) Flush(b *Batch) {
-	t.HitBatch(b)
-	b.Sites = b.Sites[:0]
 }
 
 // Reset clears the tracer for the next execution in O(edges touched).

@@ -100,84 +100,6 @@ func TestDiffRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchEquivalentToSequentialHits proves the batched reporting path is
-// observationally identical to per-site Hit calls: same touched edges, same
-// counts, same buckets after accumulation, same exported state.
-func TestBatchEquivalentToSequentialHits(t *testing.T) {
-	sites := []Site{
-		NewSite("batch/a"), NewSite("batch/b"), NewSite("batch/c"), NewSite("batch/d"),
-	}
-	// A sequence with repeats so saturation and bucketing both engage, split
-	// across several flushes to prove prev-state carries between batches.
-	seq := []int{0, 1, 0, 1, 2, 2, 2, 3, 0, 3, 1, 1, 0, 2, 3, 3}
-
-	direct := NewTracer()
-	for _, i := range seq {
-		direct.Hit(sites[i])
-	}
-
-	batched := NewTracer()
-	b := NewBatch(4)
-	for n, i := range seq {
-		b.Add(sites[i])
-		if n%5 == 4 { // flush mid-stream at odd boundaries
-			batched.Flush(b)
-		}
-	}
-	batched.Flush(b)
-	if b.Len() != 0 {
-		t.Fatalf("batch not truncated after flush: len=%d", b.Len())
-	}
-
-	if direct.Edges() != batched.Edges() {
-		t.Fatalf("edge counts diverge: direct %d, batched %d", direct.Edges(), batched.Edges())
-	}
-	if direct.prev != batched.prev {
-		t.Fatalf("prev state diverges: direct %d, batched %d", direct.prev, batched.prev)
-	}
-	if !reflect.DeepEqual(direct.touched, batched.touched) {
-		t.Fatalf("touched order diverges:\ndirect  %v\nbatched %v", direct.touched, batched.touched)
-	}
-	for _, idx := range direct.touched {
-		if direct.counts[idx] != batched.counts[idx] {
-			t.Fatalf("count at %d diverges: direct %d, batched %d", idx, direct.counts[idx], batched.counts[idx])
-		}
-	}
-
-	// The accumulated + exported state (what checkpoints and merges see)
-	// must round-trip byte-identically.
-	md, mb := NewMap(), NewMap()
-	md.Accumulate(direct)
-	mb.Accumulate(batched)
-	if !reflect.DeepEqual(md.Export(), mb.Export()) {
-		t.Fatalf("accumulated exports diverge:\ndirect  %v\nbatched %v", md.Export(), mb.Export())
-	}
-
-	// Merge round-trip stays byte-identical with a batched-origin map.
-	other := mapFrom([]EdgeState{{Idx: 7, Mask: 0b0101}})
-	m1 := md.Clone()
-	m1.Merge(other)
-	m2 := mb.Clone()
-	m2.Merge(other)
-	if !reflect.DeepEqual(m1.Export(), m2.Export()) {
-		t.Fatalf("merge after batch diverges:\n%v\n%v", m1.Export(), m2.Export())
-	}
-}
-
-// TestBatchResetDiscards checks Reset drops pending hits without replay.
-func TestBatchResetDiscards(t *testing.T) {
-	s := NewSite("batch/reset")
-	tr := NewTracer()
-	b := NewBatch(2)
-	b.Add(s)
-	b.Add(s)
-	b.Reset()
-	tr.Flush(b)
-	if tr.Edges() != 0 {
-		t.Fatalf("reset batch still replayed %d edges", tr.Edges())
-	}
-}
-
 func TestExportPreSized(t *testing.T) {
 	m := mapFrom([]EdgeState{{Idx: 1, Mask: 1}, {Idx: 2, Mask: 1}, {Idx: 3, Mask: 1}})
 	out := m.Export()

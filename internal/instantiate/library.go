@@ -67,7 +67,7 @@ func (l *Library) Pick(rng *rand.Rand, t sqlt.Type) sqlast.Statement {
 	if rng.Intn(4) == 0 {
 		return nil
 	}
-	return sqlparse.CloneStatement(s)
+	return s.Clone()
 }
 
 // Export returns the stored structures' SQL per type, in storage order, for

@@ -188,10 +188,10 @@ SELECT b FROM t WHERE a = 2;
 	}
 }
 
-// TestDDLInvalidatesPlans: renaming columns re-keys every affected plan (the
-// layout and the schema fingerprint both change), so a statement that would
-// have read stale slots is recompiled against the new shape and stays
-// equivalent to the interpreter.
+// TestDDLInvalidatesPlans: renaming columns changes the layout, which is
+// part of every affected plan's key, so a statement that would have read
+// stale slots is recompiled against the new shape and stays equivalent to
+// the interpreter.
 func TestDDLInvalidatesPlans(t *testing.T) {
 	const script = `
 CREATE TABLE t (a INT, b INT);
@@ -322,12 +322,11 @@ func TestCompiledEvalZeroAllocPerRow(t *testing.T) {
 	stmt := sqlparse.MustParseScript(`SELECT a FROM t WHERE a > 0 AND b < 10;`)[0].(*sqlast.SelectStmt)
 	p, m := e.preparedEval(stmt.Where, e.tableLayout(tbl), nil)
 	row := []Value{Int(1), Int(2)}
-	// Warm the tracer's count map so steady-state flushes stay allocation-free.
+	// Warm the tracer's touched edges so steady-state probes only bump counts.
 	m.bindRow(row)
 	if _, err := p.code(m, 1); err != nil {
 		t.Fatal(err)
 	}
-	e.flushCov()
 	got := testing.AllocsPerRun(500, func() {
 		e.stepsUsed = 0 // per-statement watchdog budget, reset by ExecStmt in production
 		m.bindRow(row)

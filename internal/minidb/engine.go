@@ -149,6 +149,7 @@ type Engine struct {
 	// evaluated VALUES, and the source rows slicing them. Each INSERT,
 	// nested trigger INSERTs included, pushes above the current lengths
 	// and pops back on return, so between statements all three are empty.
+	// ALTER TABLE … ADD COLUMN holds its backfill values on insVals too.
 	insTargets []int
 	insVals    []Value
 	insRows    [][]Value
@@ -181,11 +182,6 @@ type Engine struct {
 	// plan cache it is derived state that survives reset, since the same
 	// tables come back case after case.
 	metas map[colMetaKey]*colMeta
-
-	// covBatch accumulates probe hits per statement and flushes them to
-	// the tracer at statement end (or when full), replacing per-probe
-	// tracer calls on the hot path.
-	covBatch *coverage.Batch
 }
 
 // New creates an engine for the given configuration.
@@ -194,12 +190,11 @@ func New(cfg Config) *Engine {
 		cfg.Limits = DefaultLimits()
 	}
 	e := &Engine{
-		cfg:      cfg,
-		cat:      NewCatalog(),
-		sess:     newSession(),
-		limits:   cfg.Limits,
-		tracer:   coverage.NewTracer(),
-		covBatch: coverage.NewBatch(covBatchCap), //lego:allow bufretain — the engine owns this batch for its lifetime; only Flush borrows its Sites
+		cfg:    cfg,
+		cat:    NewCatalog(),
+		sess:   newSession(),
+		limits: cfg.Limits,
+		tracer: coverage.NewTracer(),
 	}
 	if cfg.EnableHazards {
 		e.hazards = bugsFor(cfg.Dialect)
@@ -247,27 +242,11 @@ func (e *Engine) endTxn() {
 	e.spNames = e.spNames[:0]
 }
 
-// covBatchCap sizes the per-engine hit batch; a batch that reaches it is
-// flushed early so the buffer never grows past its pre-sizing.
-const covBatchCap = 4096
-
-// hit reports a probe site into the statement-local batch.
+// hit reports a probe site to the tracer.
 //
 //lego:hotpath
 func (e *Engine) hit(s coverage.Site) {
-	e.covBatch.Add(s)
-	if e.covBatch.Len() >= covBatchCap {
-		e.tracer.Flush(e.covBatch)
-	}
-}
-
-// flushCov drains pending probe hits into the tracer. ExecStmt defers it so
-// the tracer is complete at statement end even when a hazard or injected
-// fault panics mid-statement.
-func (e *Engine) flushCov() {
-	if e.covBatch.Len() > 0 {
-		e.tracer.Flush(e.covBatch)
-	}
+	e.tracer.Hit(s)
 }
 
 // Result is the output of one statement. Results come from the engine's
@@ -392,7 +371,6 @@ func (e *Engine) RunTestCase(tc sqlast.TestCase) (out Outcome) {
 // the engine's result arena: it is valid until the engine's next
 // RunTestCase, and a caller that needs it longer must copy it.
 func (e *Engine) ExecStmt(s sqlast.Statement) (*Result, error) {
-	defer e.flushCov()
 	defer e.machines.reset()
 	e.hit(pDispatch)
 	t := s.Type()

@@ -1,6 +1,8 @@
 package minidb
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/seqfuzz/lego/internal/sqlparse"
@@ -126,6 +128,43 @@ REINDEX INDEX ix;
 	}
 	if e2.cat.Indexes["ix"].stale {
 		t.Fatal("REINDEX must clear staleness")
+	}
+}
+
+// TestFailedAddColumnLeavesTable: an ADD COLUMN whose backfill fails — a
+// NOT NULL column without a default on a non-empty table, or a DEFAULT
+// that errors — returns the ALTER error and leaves the table's columns and
+// rows as they were, so later statements over it run normally instead of
+// indexing past the stored rows.
+func TestFailedAddColumnLeavesTable(t *testing.T) {
+	for _, c := range []struct{ alter, err string }{
+		{"ALTER TABLE t ADD COLUMN b INT NOT NULL", "cannot add NOT NULL column without default"},
+		{"ALTER TABLE t ADD COLUMN b INT DEFAULT nosuch", `column "nosuch" does not exist`},
+	} {
+		e := New(Config{Dialect: sqlt.DialectMySQL})
+		out := e.RunTestCase(sqlparse.MustParseScript(`
+CREATE TABLE t (a INT);
+INSERT INTO t VALUES (1), (2);
+` + c.alter + `;
+SELECT * FROM t;
+INSERT INTO t VALUES (3);
+SELECT a FROM t WHERE a > 1 ORDER BY a DESC;
+`))
+		if out.Crash != nil {
+			t.Fatalf("%s: crash: %v", c.alter, out.Crash)
+		}
+		if err := out.Errs[2]; err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Fatalf("%s: error %v, want %q", c.alter, err, c.err)
+		}
+		if out.Errors != 1 {
+			t.Fatalf("%s: %d errors, want only the ALTER's: %v", c.alter, out.Errors, out.Errs)
+		}
+		if cols := e.cat.Tables["t"].Cols; len(cols) != 1 || cols[0].Name != "a" {
+			t.Fatalf("%s: columns changed to %+v", c.alter, cols)
+		}
+		if got := fmt.Sprint(out.Results[3].Rows, out.Results[5].Rows); got != "[[1] [2]] [[3] [2]]" {
+			t.Fatalf("%s: later statements returned %s", c.alter, got)
+		}
 	}
 }
 

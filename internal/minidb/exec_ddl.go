@@ -350,9 +350,12 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 			NotNull: st.Col.NotNull, Unique: st.Col.Unique, Default: st.Col.Default,
 			Check: st.Col.Check,
 		}
-		t.Cols = append(t.Cols, col)
-		// backfill: default or NULL
-		for i := range t.Rows {
+		// Backfill with the default or NULL. Every value is evaluated, on the
+		// INSERT value stack, before the table changes, so a failing DEFAULT
+		// or a NOT NULL column without one leaves the table as it was.
+		mark := len(e.insVals)
+		defer e.popInsert(len(e.insTargets), mark, len(e.insRows))
+		for range t.Rows {
 			var v Value
 			if st.Col.Default != nil {
 				dv, err := e.eval(st.Col.Default, emptyScope, 0)
@@ -366,6 +369,10 @@ func (e *Engine) execAlterTable(st *sqlast.AlterTableStmt) (*Result, error) {
 				}
 				v = Null()
 			}
+			e.insVals = append(e.insVals, v)
+		}
+		t.Cols = append(t.Cols, col)
+		for i, v := range e.insVals[mark:] {
 			t.Rows[i] = append(t.Rows[i], v)
 		}
 	case sqlast.AlterDropColumn:

@@ -352,15 +352,14 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 	// column list (table reshaped by an earlier statement's trigger) take the
 	// interpreter per row: rowScope truncates its bindings where a slot read
 	// would misresolve.
-	compiled := !e.cfg.DisablePlanCache
 	var lay layout
-	if compiled && (where != nil || len(orderBy) > 0) {
+	if where != nil || len(orderBy) > 0 {
 		lay = e.tableLayout(t)
 	}
 	var idxs []int
 	var wProg *program
 	var wMach *machine
-	if compiled && where != nil {
+	if where != nil {
 		wProg, wMach = e.preparedEval(where, lay, nil)
 	}
 	for ri, row := range t.Rows {
@@ -384,19 +383,15 @@ func (e *Engine) matchingRowIdxs(t *Table, where sqlast.Expr, orderBy []sqlast.O
 		idxs = append(idxs, ri)
 	}
 	if len(orderBy) > 0 {
-		var obProgs []boundProg
-		if compiled {
-			var mark int
-			obProgs, mark = e.pushProgs(len(orderBy))
-			defer e.popProgs(mark)
-			for k, ob := range orderBy {
-				obProgs[k].p, obProgs[k].m = e.preparedEval(ob.X, lay, nil)
-			}
+		obProgs, mark := e.pushProgs(len(orderBy))
+		defer e.popProgs(mark)
+		for k, ob := range orderBy {
+			obProgs[k].p, obProgs[k].m = e.preparedEval(ob.X, lay, nil)
 		}
 		keys := make(map[int][]Value, len(idxs))
 		for _, ri := range idxs {
 			row := t.Rows[ri]
-			if compiled && len(row) >= len(t.Cols) {
+			if obProgs[0].p != nil && len(row) >= len(t.Cols) {
 				for _, ob := range obProgs {
 					ob.m.bindRow(row)
 					v, err := ob.p.code(ob.m, 0)
@@ -480,8 +475,7 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 	// trigger bodies interleave with the per-row SET evaluation and may
 	// reshape the table, which would leave a pre-computed layout stale.
 	// Coercion stays exec-side (below), so no column type is baked in.
-	canCompileSets := !e.cfg.DisablePlanCache &&
-		len(e.cat.triggersFor(t.Name, sqlast.TriggerBefore, sqlast.TriggerUpdate)) == 0 &&
+	canCompileSets := len(e.cat.triggersFor(t.Name, sqlast.TriggerBefore, sqlast.TriggerUpdate)) == 0 &&
 		len(e.cat.triggersFor(t.Name, sqlast.TriggerAfter, sqlast.TriggerUpdate)) == 0
 	var setProgs []boundProg
 	if canCompileSets {
@@ -492,6 +486,7 @@ func (e *Engine) execUpdate(st *sqlast.UpdateStmt) (*Result, error) {
 		for i, a := range st.Sets {
 			setProgs[i].p, setProgs[i].m = e.preparedEval(a.Value, lay, nil)
 		}
+		canCompileSets = len(setProgs) == 0 || setProgs[0].p != nil
 	}
 	touched := 0
 	for _, ri := range idxs {

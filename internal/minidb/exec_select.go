@@ -16,16 +16,9 @@ type relation struct {
 	rows [][]Value
 }
 
+// scopeRow binds row i into a fresh scope, for callers that retain it.
 func (r *relation) scopeRow(i int, parent *scope) *scope {
-	m := make(map[string]Value, 2*len(r.cols))
-	for c := len(r.cols) - 1; c >= 0; c-- {
-		// iterate right-to-left so the leftmost duplicate wins
-		m[r.cols[c]] = r.rows[i][c]
-		if r.qkeys[c] != "" {
-			m[r.qkeys[c]] = r.rows[i][c]
-		}
-	}
-	return &scope{row: m, parent: parent}
+	return r.scopeRowInto(i, parent, &scope{})
 }
 
 // scopeRowInto binds row i into the caller-owned scratch scope, reusing its
@@ -124,35 +117,28 @@ func (e *Engine) execSelect(q *sqlast.SelectStmt, outer *scope, depth int) ([][]
 	if q.Where != nil {
 		e.planFilterPath(q, rel)
 		var filtered [][]Value
-		if e.cfg.DisablePlanCache {
-			var rsc scope
-			for i := range rel.rows {
-				if err := e.chargeStep(); err != nil {
-					return nil, nil, err
-				}
-				sc := rel.scopeRowInto(i, outer, &rsc)
-				v, err := e.eval(q.Where, sc, depth+1)
-				if err != nil {
-					return nil, nil, err
-				}
-				if v.Truthy() {
-					filtered = append(filtered, rel.rows[i])
-				}
+		p, m := e.preparedEval(q.Where, rel.relLay, outer)
+		var rsc *scope // allocated at the first interpreted row
+		for i := range rel.rows {
+			if err := e.chargeStep(); err != nil {
+				return nil, nil, err
 			}
-		} else {
-			p, m := e.preparedEval(q.Where, rel.relLay, outer)
-			for i := range rel.rows {
-				if err := e.chargeStep(); err != nil {
-					return nil, nil, err
-				}
+			var v Value
+			var err error
+			if p != nil {
 				m.bindRow(rel.rows[i])
-				v, err := p.code(m, depth+1)
-				if err != nil {
-					return nil, nil, err
+				v, err = p.code(m, depth+1)
+			} else {
+				if rsc == nil {
+					rsc = new(scope)
 				}
-				if v.Truthy() {
-					filtered = append(filtered, rel.rows[i])
-				}
+				v, err = e.eval(q.Where, rel.scopeRowInto(i, outer, rsc), depth+1)
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+			if v.Truthy() {
+				filtered = append(filtered, rel.rows[i])
 			}
 		}
 		rel = &relation{colMeta: rel.colMeta, rows: filtered}
@@ -350,62 +336,61 @@ func (e *Engine) execProjection(q *sqlast.SelectStmt, rel *relation, outer *scop
 	}
 
 	out := make([][]Value, 0, len(rel.rows))
-	if e.cfg.DisablePlanCache {
-		var rsc scope
-		for i := range rel.rows {
-			if err := e.chargeStep(); err != nil {
-				return nil, nil, err
-			}
-			sc := rel.scopeRowInto(i, outer, &rsc)
-			if winVals != nil {
-				sc.winVals = winVals[i]
-			}
-			row, err := e.projectRow(q.Items, rel, i, sc, depth)
-			if err != nil {
-				return nil, nil, err
-			}
-			out = append(out, row)
-			if len(out) > e.limits.MaxResultRows {
-				break
-			}
-		}
-	} else if len(rel.rows) > 0 {
+	if len(rel.rows) > 0 {
 		// One program + machine per item: items bind independent literal and
-		// fallback slots. Star items stay exec-side (projectRow copies them
+		// fallback slots. Star items stay exec-side (both paths copy them
 		// without evaluating, so there is nothing to compile).
 		progs, mark := e.pushProgs(len(q.Items))
 		defer e.popProgs(mark)
+		compiled := true
 		for k, it := range q.Items {
 			if _, ok := it.X.(*sqlast.Star); ok {
 				continue
 			}
 			progs[k].p, progs[k].m = e.preparedEval(it.X, rel.relLay, outer)
+			compiled = compiled && progs[k].p != nil
 		}
+		var rsc *scope // allocated at the first interpreted row
 		for i := range rel.rows {
 			if err := e.chargeStep(); err != nil {
 				return nil, nil, err
 			}
-			row := make([]Value, 0, len(q.Items))
-			for k, it := range q.Items {
-				if st, ok := it.X.(*sqlast.Star); ok {
-					for c := range rel.cols {
-						if st.Table != "" && rel.quals[c] != st.Table {
-							continue
+			var row []Value
+			if compiled {
+				row = make([]Value, 0, len(q.Items))
+				for k, it := range q.Items {
+					if st, ok := it.X.(*sqlast.Star); ok {
+						for c := range rel.cols {
+							if st.Table != "" && rel.quals[c] != st.Table {
+								continue
+							}
+							row = append(row, rel.rows[i][c])
 						}
-						row = append(row, rel.rows[i][c])
+						continue
 					}
-					continue
+					mk := progs[k].m
+					mk.bindRow(rel.rows[i])
+					if winVals != nil {
+						mk.winVals = winVals[i]
+					}
+					v, err := progs[k].p.code(mk, depth+1)
+					if err != nil {
+						return nil, nil, err
+					}
+					row = append(row, v)
 				}
-				mk := progs[k].m
-				mk.bindRow(rel.rows[i])
+			} else {
+				if rsc == nil {
+					rsc = new(scope)
+				}
+				sc := rel.scopeRowInto(i, outer, rsc)
 				if winVals != nil {
-					mk.winVals = winVals[i]
+					sc.winVals = winVals[i]
 				}
-				v, err := progs[k].p.code(mk, depth+1)
-				if err != nil {
+				var err error
+				if row, err = e.projectRow(q.Items, rel, i, sc, depth); err != nil {
 					return nil, nil, err
 				}
-				row = append(row, v)
 			}
 			out = append(out, row)
 			if len(out) > e.limits.MaxResultRows {
@@ -580,22 +565,20 @@ func (e *Engine) computeWindows(items []sqlast.SelectItem, rel *relation, outer 
 }
 
 func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[*sqlast.FuncCall]Value, outer *scope, depth int) error {
-	compiled := !e.cfg.DisablePlanCache
 	// Partition- and order-key expressions run once per row (order keys
 	// twice: the post-sort recompute reuses the same programs).
-	var partProgs, obProgs []boundProg
-	if compiled {
-		nPart := len(fc.Over.PartitionBy)
-		progs, mark := e.pushProgs(nPart + len(fc.Over.OrderBy))
-		defer e.popProgs(mark)
-		partProgs, obProgs = progs[:nPart], progs[nPart:]
-		for k, pe := range fc.Over.PartitionBy {
-			partProgs[k].p, partProgs[k].m = e.preparedEval(pe, rel.relLay, outer)
-		}
-		for k, ob := range fc.Over.OrderBy {
-			obProgs[k].p, obProgs[k].m = e.preparedEval(ob.X, rel.relLay, outer)
-		}
+	nPart := len(fc.Over.PartitionBy)
+	progs, mark := e.pushProgs(nPart + len(fc.Over.OrderBy))
+	defer e.popProgs(mark)
+	partProgs, obProgs := progs[:nPart], progs[nPart:]
+	for k, pe := range fc.Over.PartitionBy {
+		partProgs[k].p, partProgs[k].m = e.preparedEval(pe, rel.relLay, outer)
 	}
+	for k, ob := range fc.Over.OrderBy {
+		obProgs[k].p, obProgs[k].m = e.preparedEval(ob.X, rel.relLay, outer)
+	}
+	// With no keys there is nothing to compile, and both paths do the same.
+	compiled := len(progs) == 0 || progs[0].p != nil
 
 	// Partition rows.
 	parts := map[string][]int{}
@@ -803,16 +786,42 @@ func (e *Engine) computeOneWindow(fc *sqlast.FuncCall, rel *relation, out []map[
 // output columns, ordinals, or — when srcRel is non-nil (output rows map
 // 1:1 to source rows) — source columns that were projected away.
 func (e *Engine) sortRows(q *sqlast.SelectStmt, rows [][]Value, cols []string, srcRel *relation, outer *scope, depth int) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	// Compiled programs see frame 0 as the output row (names bound forward,
+	// so the last duplicate wins, matching the map below) and frame 1 as the
+	// source relation when order expressions may reach projected-away
+	// columns.
+	lay := layout{frames: append(make([]frame, 0, 2), frame{keys: cols, lastWins: true})}
+	if srcRel != nil {
+		lay.frames = append(lay.frames, srcRel.relLay.frames[0])
+	}
+	progs, mark := e.pushProgs(len(q.OrderBy))
+	defer e.popProgs(mark)
+	for k, ob := range q.OrderBy {
+		progs[k].p, progs[k].m = e.preparedEval(ob.X, lay, outer)
+	}
+	compiled := progs[0].p != nil
+	// The interpreter binds each row into one output-column map and one
+	// source scope that serve the whole loop: rows of one result set share
+	// a length and column set, so overwriting is safe; a length change
+	// (set-op arity mismatch) forces a fresh map so no stale key from a
+	// longer row survives. Rows shorter than the column list bind fewer
+	// names than the layout promises, so they take the interpreter even
+	// when compiled — observationally identical, since the map never
+	// carries stale keys across rows of one length.
 	keys := make([][]Value, len(rows))
-	if e.cfg.DisablePlanCache {
-		// One output-column map and one source scope serve the whole loop:
-		// rows of one result set share a length and column set, so
-		// overwriting is safe; a length change (set-op arity mismatch) forces
-		// a fresh map so no stale key from a longer row survives.
-		var m map[string]Value
-		var psc, ssc scope
-		lastLen := -1
-		for i, row := range rows {
+	var m map[string]Value
+	var psc, ssc *scope // allocated at the first interpreted row
+	lastLen := -1
+	for i, row := range rows {
+		interp := !compiled || len(row) < len(cols)
+		var sc *scope
+		if interp {
+			if ssc == nil {
+				psc, ssc = new(scope), new(scope)
+			}
 			if m == nil || len(row) != lastLen {
 				m = make(map[string]Value, len(cols))
 				lastLen = len(row)
@@ -824,103 +833,43 @@ func (e *Engine) sortRows(q *sqlast.SelectStmt, rows [][]Value, cols []string, s
 			}
 			parent := outer
 			if srcRel != nil {
-				parent = srcRel.scopeRowInto(i, outer, &psc)
+				parent = srcRel.scopeRowInto(i, outer, psc)
 			}
 			ssc.row = m
 			ssc.parent = parent
-			sc := &ssc
-			for _, ob := range q.OrderBy {
-				ox := ob.X
-				if lit, ok := ox.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt &&
-					lit.Int >= 1 && int(lit.Int) <= len(row) {
-					keys[i] = append(keys[i], row[lit.Int-1])
-					continue
-				}
-				v, err := e.eval(ox, sc, depth+1)
-				if err != nil {
-					// fall back to NULL key: ORDER BY on a source column that
-					// was projected away sorts as NULL, a common lenient
-					// behaviour
-					v = Null()
-				}
-				keys[i] = append(keys[i], v)
+			sc = ssc
+		} else if srcRel != nil {
+			// Replicate scopeRowInto's full-width access on the source row
+			// before any key evaluation.
+			if n := len(srcRel.cols); n > 0 {
+				_ = srcRel.rows[i][n-1]
 			}
 		}
-	} else if len(rows) > 0 {
-		// Compiled path: frame 0 is the output row (names bound forward, so
-		// last duplicate wins, matching the map above), frame 1 the source
-		// relation when order expressions may reach projected-away columns.
-		lay := layout{frames: append(make([]frame, 0, 2), frame{keys: cols, lastWins: true})}
-		if srcRel != nil {
-			lay.frames = append(lay.frames, srcRel.relLay.frames[0])
-		}
-		progs, mark := e.pushProgs(len(q.OrderBy))
-		defer e.popProgs(mark)
 		for k, ob := range q.OrderBy {
-			progs[k].p, progs[k].m = e.preparedEval(ob.X, lay, outer)
-		}
-		// Rows shorter than the column list (set-op arity mismatch) bind
-		// fewer names than the layout promises, so they take the interpreter
-		// map path per row — observationally identical, since the map never
-		// carries stale keys across rows of one length.
-		var m map[string]Value
-		var psc, ssc *scope // allocated at the first short row
-		lastLen := -1
-		for i, row := range rows {
-			short := len(row) < len(cols)
-			var sc *scope
-			if short {
-				if ssc == nil {
-					psc, ssc = new(scope), new(scope)
-				}
-				if m == nil || len(row) != lastLen {
-					m = make(map[string]Value, len(cols))
-					lastLen = len(row)
-				}
-				for c, name := range cols {
-					if c < len(row) {
-						m[name] = row[c]
-					}
-				}
-				parent := outer
+			ox := ob.X
+			if lit, ok := ox.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt &&
+				lit.Int >= 1 && int(lit.Int) <= len(row) {
+				keys[i] = append(keys[i], row[lit.Int-1])
+				continue
+			}
+			var v Value
+			var err error
+			if interp {
+				v, err = e.eval(ox, sc, depth+1)
+			} else {
+				mk := progs[k].m
+				mk.bindRow(row)
 				if srcRel != nil {
-					parent = srcRel.scopeRowInto(i, outer, psc)
+					mk.rowB = srcRel.rows[i]
 				}
-				ssc.row = m
-				ssc.parent = parent
-				sc = ssc
-			} else if srcRel != nil {
-				// Replicate scopeRowInto's full-width access on the source
-				// row before any key evaluation.
-				if n := len(srcRel.cols); n > 0 {
-					_ = srcRel.rows[i][n-1]
-				}
+				v, err = progs[k].p.code(mk, depth+1)
 			}
-			for k, ob := range q.OrderBy {
-				ox := ob.X
-				if lit, ok := ox.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt &&
-					lit.Int >= 1 && int(lit.Int) <= len(row) {
-					keys[i] = append(keys[i], row[lit.Int-1])
-					continue
-				}
-				var v Value
-				var err error
-				if short {
-					v, err = e.eval(ox, sc, depth+1)
-				} else {
-					mk := progs[k].m
-					mk.bindRow(row)
-					if srcRel != nil {
-						mk.rowB = srcRel.rows[i]
-					}
-					v, err = progs[k].p.code(mk, depth+1)
-				}
-				if err != nil {
-					// fall back to NULL key, as above
-					v = Null()
-				}
-				keys[i] = append(keys[i], v)
+			if err != nil {
+				// fall back to NULL key: ORDER BY on a source column that was
+				// projected away sorts as NULL, a common lenient behaviour
+				v = Null()
 			}
+			keys[i] = append(keys[i], v)
 		}
 	}
 	idx := make([]int, len(rows))
@@ -1179,11 +1128,7 @@ func (e *Engine) joinRelations(j *sqlast.JoinRef, left, right *relation, outer *
 	// the up to 20000 probed pairs.
 	js := e.pushJoin(out.colMeta)
 	defer e.popJoin()
-	var onProg *program
-	var onMach *machine
-	if !e.cfg.DisablePlanCache {
-		onProg, onMach = e.preparedEval(j.On, out.relLay, outer)
-	}
+	onProg, onMach := e.preparedEval(j.On, out.relLay, outer)
 	matchRow := func(lrow, rrow []Value) (bool, error) {
 		pairBudget--
 		js.pair = append(append(js.pair[:0], lrow...), rrow...)

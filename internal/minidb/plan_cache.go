@@ -261,7 +261,14 @@ func (e *Engine) compiledFor(x sqlast.Expr, lay layout) *program {
 // machine.bindRow and run p.code. The machine comes from the engine's
 // machine arena, so it is valid only until the end of the top-level
 // statement.
+//
+// It is the one place that reads Config.DisablePlanCache: with the cache
+// off it returns a nil program and machine, and every caller evaluates
+// through the interpreter wherever it holds no program.
 func (e *Engine) preparedEval(x sqlast.Expr, lay layout, outer *scope) (*program, *machine) {
+	if e.cfg.DisablePlanCache {
+		return nil, nil
+	}
 	p := e.compiledFor(x, lay)
 	m := e.machines.next()
 	m.e, m.outer, m.lay = e, outer, &p.lay

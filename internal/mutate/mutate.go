@@ -13,7 +13,6 @@ import (
 
 	"github.com/seqfuzz/lego/internal/instantiate"
 	"github.com/seqfuzz/lego/internal/sqlast"
-	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/sqlt"
 )
 
@@ -52,7 +51,7 @@ func (m *Mutator) SubstituteType(tc sqlast.TestCase, i int) sqlast.TestCase {
 	if i < 0 || i >= len(tc) {
 		return nil
 	}
-	out := sqlparse.CloneTestCase(tc)
+	out := tc.Clone()
 	newType := m.randomOtherType(out[i].Type())
 	out[i] = m.Inst.Statement(newType)
 	m.Inst.Fixer.Fix(out)
@@ -65,7 +64,7 @@ func (m *Mutator) InsertAfter(tc sqlast.TestCase, i int) sqlast.TestCase {
 	if i < 0 || i >= len(tc) || len(tc) >= m.MaxStatements {
 		return nil
 	}
-	out := sqlparse.CloneTestCase(tc)
+	out := tc.Clone()
 	stmt := m.Inst.Statement(m.randomOtherType(out[i].Type()))
 	out = append(out[:i+1], append(sqlast.TestCase{stmt}, out[i+1:]...)...)
 	m.Inst.Fixer.Fix(out)
@@ -78,7 +77,7 @@ func (m *Mutator) DeleteAt(tc sqlast.TestCase, i int) sqlast.TestCase {
 	if i < 0 || i >= len(tc) || len(tc) <= 1 {
 		return nil
 	}
-	out := sqlparse.CloneTestCase(tc)
+	out := tc.Clone()
 	out = append(out[:i], out[i+1:]...)
 	m.Inst.Fixer.Fix(out)
 	return out
@@ -91,7 +90,7 @@ func (m *Mutator) MutateValues(tc sqlast.TestCase) sqlast.TestCase {
 	if len(tc) == 0 {
 		return nil
 	}
-	out := sqlparse.CloneTestCase(tc)
+	out := tc.Clone()
 	i := m.Rng.Intn(len(out))
 	m.mutateStatement(out[i])
 	sqlast.InvalidateSQL(out[i])

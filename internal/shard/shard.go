@@ -48,7 +48,6 @@ import (
 	"github.com/seqfuzz/lego/internal/harness"
 	"github.com/seqfuzz/lego/internal/minidb"
 	"github.com/seqfuzz/lego/internal/oracle"
-	"github.com/seqfuzz/lego/internal/sqlparse"
 	"github.com/seqfuzz/lego/internal/triage"
 )
 
@@ -354,7 +353,7 @@ func (e *Executor) mergeBarrier() {
 				continue
 			}
 			for _, s := range deltas[donor] {
-				e.shards[recv].AdoptSeed(sqlparse.CloneTestCase(s.TC), s.NewEdges)
+				e.shards[recv].AdoptSeed(s.TC.Clone(), s.NewEdges)
 			}
 		}
 	}

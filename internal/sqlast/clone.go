@@ -2,8 +2,8 @@ package sqlast
 
 // Structural deep-clone for every AST node.
 //
-// Clone replaces the render+reparse round trip that used to back
-// sqlparse.CloneStatement: cloning is the single hottest operation of the
+// Clone replaces the render+reparse round trip that cloning used to take
+// (sqlparse.CloneStatementByReparse, now the property-test oracle): cloning is the single hottest operation of the
 // fuzz loop (every mutation operator, every library fetch, seed splitting,
 // and cross-shard seed adoption clone whole test cases), and re-lexing SQL
 // text costs two orders of magnitude more than copying the structs.

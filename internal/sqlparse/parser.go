@@ -100,22 +100,6 @@ func MustParseScript(sql string) sqlast.TestCase {
 	return tc
 }
 
-// CloneStatement deep-copies a statement. It used to render the statement
-// and reparse the text; cloning is the hottest operation of the fuzz loop
-// (every mutation, library fetch, seed split, and cross-shard adoption
-// clones whole test cases), so it now delegates to the structural
-// sqlast.Clone methods. The old render+reparse path survives as
-// CloneStatementByReparse, the oracle the clone property tests compare
-// against.
-func CloneStatement(s sqlast.Statement) sqlast.Statement {
-	return s.Clone()
-}
-
-// CloneTestCase deep-copies a test case.
-func CloneTestCase(tc sqlast.TestCase) sqlast.TestCase {
-	return tc.Clone()
-}
-
 // CloneStatementByReparse deep-copies a statement by rendering and reparsing
 // it. The printer/parser round trip is lossless (verified by property
 // tests); it is kept solely as the oracle that the structural clone is

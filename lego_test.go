@@ -58,6 +58,28 @@ INSERT INTO t VALUES (2);
 	}
 }
 
+// TestExecScriptFailedAddColumn: an ADD COLUMN that cannot backfill its
+// rows fails as a SQL error, and the table stays queryable through the
+// facade afterwards.
+func TestExecScriptFailedAddColumn(t *testing.T) {
+	db := lego.Open(lego.MySQL)
+	_, err := db.ExecScript(`
+CREATE TABLE t (a INT);
+INSERT INTO t VALUES (1), (2);
+ALTER TABLE t ADD COLUMN b INT NOT NULL;
+`)
+	if err == nil || !strings.Contains(err.Error(), "NOT NULL") {
+		t.Fatalf("ALTER error = %v, want the NOT NULL backfill error", err)
+	}
+	results, err := db.ExecScript(`SELECT * FROM t;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results[0]; len(got.Columns) != 1 || len(got.Rows) != 2 {
+		t.Fatalf("table after the failed ALTER: columns %v, rows %v", got.Columns, got.Rows)
+	}
+}
+
 // TestExecScriptResultsStayIntact runs a script long enough that the
 // engine's result arena fills several blocks, then checks every returned
 // result. It also checks that TABLE's column names are the caller's own
